@@ -13,9 +13,7 @@
 #include "crypto/milenage.h"
 #include "crypto/sha256.h"
 #include "crypto/suci.h"
-#include "crypto/cpu_dispatch.h"
 #include "crypto/x25519.h"
-#include "crypto/x25519_batch.h"
 #include "json/json.h"
 #include "net/bus.h"
 #include "net/env.h"
@@ -92,66 +90,6 @@ void BM_X25519(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_X25519);
-
-// Batched ladder throughput: scalar engine vs the 4-lane AVX2 kernel at
-// batch widths 1 / 4 / 8. Every iteration stamps fresh points (a
-// counter over random bytes) so no point is ever sighted twice and the
-// comb cache never graduates one — this isolates the ladder, which is
-// what the batch engine accelerates. Reported items/s are mults/s.
-void BM_X25519BatchLadder(benchmark::State& state) {
-  const auto engine = state.range(1) == 0 ? crypto::X25519BatchEngine::kScalar
-                      : state.range(1) == 1
-                          ? crypto::X25519BatchEngine::kX4
-                          : crypto::X25519BatchEngine::kIfma;
-  if (engine == crypto::X25519BatchEngine::kX4 &&
-      (!crypto::detail::x25519_x4_compiled() || !crypto::cpu_has_avx2())) {
-    state.SkipWithError("AVX2 4-lane kernels unavailable on this host");
-    return;
-  }
-  if (engine == crypto::X25519BatchEngine::kIfma &&
-      (!crypto::detail::x25519_ifma_compiled() ||
-       !crypto::cpu_has_avx512ifma())) {
-    state.SkipWithError("AVX-512 IFMA kernels unavailable on this host");
-    return;
-  }
-  crypto::detail::force_batch_engine(engine);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  std::vector<std::array<std::uint8_t, 32>> scalars(n), points(n);
-  std::vector<crypto::X25519Key> outs(n);
-  std::vector<crypto::X25519BatchItem> items(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Bytes s = rng.bytes(32), p = rng.bytes(32);
-    std::copy(s.begin(), s.end(), scalars[i].begin());
-    std::copy(p.begin(), p.end(), points[i].begin());
-    items[i] = crypto::X25519BatchItem{SecretView(ByteView(scalars[i])),
-                                       ByteView(points[i]), &outs[i]};
-  }
-  std::uint64_t stamp = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      ++stamp;  // unique u-coordinate per mult: the comb never engages
-      for (int b = 0; b < 8; ++b) {
-        points[i][b] = static_cast<std::uint8_t>(stamp >> (8 * b));
-      }
-    }
-    crypto::x25519_batch(items.data(), items.size());
-    benchmark::DoNotOptimize(outs.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
-  crypto::detail::clear_forced_batch_engine();
-}
-BENCHMARK(BM_X25519BatchLadder)
-    ->ArgNames({"batch", "engine"})  // engine: 0 scalar, 1 x4, 2 ifma
-    ->Args({1, 0})
-    ->Args({4, 0})
-    ->Args({8, 0})
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({8, 1})
-    ->Args({1, 2})
-    ->Args({4, 2})
-    ->Args({8, 2});
 
 void BM_SuciConceal(benchmark::State& state) {
   Rng rng(6);

@@ -15,9 +15,9 @@
 // lines to <prefix>_seq.txt and <prefix>_w<N>.txt so CI can diff them
 // byte-for-byte. Writes BENCH_scaling.json (schema
 // shield5g.bench.shard_scaling.v1), re-parsed and schema-checked before
-// exit. Speedup is recorded but only *checked* against the >=1.7x at 2
-// workers bar when the host actually has >=2 cores — the digest check
-// runs everywhere (a single core still interleaves shard threads).
+// exit. Wall time and speedup are recorded, never gated: the exit status
+// is non-zero only on a digest divergence, a schema failure or a write
+// failure.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -39,7 +39,6 @@ using namespace shield5g;
 namespace {
 
 constexpr const char* kSchemaId = "shield5g.bench.shard_scaling.v1";
-constexpr double kSpeedupBarAt2 = 1.7;
 
 struct Options {
   bool smoke = false;
@@ -100,7 +99,10 @@ Options parse_args(int argc, char** argv) {
 /// The canonical scaling workload: every isolation mode at a low and a
 /// saturating rate, several seeds each — enough independent shards to
 /// keep 8 workers busy, with a digest surface that covers trace hashes,
-/// queue states and shed counts.
+/// queue states and shed counts. Each case runs under three SBI
+/// policies: legacy (one-shot connections, no pool), the deployed one
+/// (TLS resumption plus the ephemeral-key pool), and the deployed one
+/// under burst arrivals of 8 simultaneous UEs.
 std::vector<load::SweepCase> make_cases(bool smoke) {
   const std::uint32_t ues = smoke ? 40 : 200;
   const std::size_t seeds = smoke ? 2 : 4;
@@ -108,23 +110,38 @@ std::vector<load::SweepCase> make_cases(bool smoke) {
   const slice::IsolationMode modes[] = {slice::IsolationMode::kMonolithic,
                                         slice::IsolationMode::kContainer,
                                         slice::IsolationMode::kSgx};
+  struct Policy {
+    const char* tag;
+    bool pool;
+    bool burst;
+  };
+  const Policy policies[] = {
+      {"", false, false}, {" resume+pool", true, false},
+      {" resume+pool burst=8", true, true}};
   std::vector<load::SweepCase> cases;
-  for (const slice::IsolationMode mode : modes) {
-    for (const double rate : rates) {
-      for (std::size_t s = 0; s < seeds; ++s) {
-        load::SweepCase c;
-        char label[80];
-        std::snprintf(label, sizeof(label), "%s rate=%.0f seed=%zu",
-                      slice::isolation_mode_name(mode), rate, s);
-        c.label = label;
-        c.slice.mode = mode;
-        c.slice.subscriber_count = ues;
-        c.slice.seed = 0x5CA1EULL + s;
-        c.load.ue_count = ues;
-        c.load.arrivals.kind = load::ArrivalKind::kPoisson;
-        c.load.arrivals.rate_per_s = rate;
-        c.load.seed = 0xD1CEULL + s;
-        cases.push_back(std::move(c));
+  for (const Policy& policy : policies) {
+    for (const slice::IsolationMode mode : modes) {
+      for (const double rate : rates) {
+        for (std::size_t s = 0; s < seeds; ++s) {
+          load::SweepCase c;
+          char label[96];
+          std::snprintf(label, sizeof(label), "%s rate=%.0f seed=%zu%s",
+                        slice::isolation_mode_name(mode), rate, s,
+                        policy.tag);
+          c.label = label;
+          c.slice.mode = mode;
+          c.slice.subscriber_count = ues;
+          c.slice.seed = 0x5CA1EULL + s;
+          c.slice.tls_resumption = policy.pool;
+          c.slice.eph_pool = policy.pool;
+          c.load.ue_count = ues;
+          c.load.arrivals.kind = policy.burst ? load::ArrivalKind::kBurst
+                                              : load::ArrivalKind::kPoisson;
+          c.load.arrivals.burst_size = 8;
+          c.load.arrivals.rate_per_s = rate;
+          c.load.seed = 0xD1CEULL + s;
+          cases.push_back(std::move(c));
+        }
       }
     }
   }
@@ -199,7 +216,7 @@ bool validate(const std::string& text) {
   if (it_digest == root.end() || !it_digest->second.is_string()) {
     return fail("sequential_digest");
   }
-  for (const char* key : {"smoke", "deterministic", "speedup_checked"}) {
+  for (const char* key : {"smoke", "deterministic"}) {
     const auto it = root.find(key);
     if (it == root.end() || !it->second.is_bool()) return fail(key);
   }
@@ -290,25 +307,6 @@ int main(int argc, char** argv) {
     runs.push_back(run);
   }
 
-  // The >=1.7x bar only means something when the host can actually run
-  // two shards at once; on a single-core container we record the cores
-  // and the measured (meaningless) speedup instead of failing.
-  const bool speedup_checked = cores >= 2;
-  bool speedup_ok = true;
-  for (const RunResult& run : runs) {
-    if (run.workers != 2) continue;
-    if (speedup_checked && run.speedup < kSpeedupBarAt2) {
-      speedup_ok = false;
-      std::fprintf(stderr,
-                   "shard_scaling: speedup at 2 workers %.2fx below the "
-                   "%.1fx bar (cores=%u)\n",
-                   run.speedup, kSpeedupBarAt2, cores);
-    } else if (!speedup_checked) {
-      bench::print_note("single-core host: scaling numbers recorded but the "
-                        "speedup bar is not enforced here");
-    }
-  }
-
   json::Object root;
   root["schema"] = json::Value(kSchemaId);
   root["smoke"] = json::Value(opt.smoke);
@@ -317,7 +315,6 @@ int main(int argc, char** argv) {
   root["sequential_wall_ms"] = json::Value(seq_wall_ms);
   root["sequential_digest"] = json::Value(hex64(seq_digest));
   root["deterministic"] = json::Value(deterministic);
-  root["speedup_checked"] = json::Value(speedup_checked);
   json::Array run_entries;
   for (const RunResult& run : runs) {
     json::Object entry;
@@ -347,6 +344,5 @@ int main(int argc, char** argv) {
                  "shard_scaling: parallel sweep diverged from sequential\n");
     return 1;
   }
-  if (!speedup_ok) return 1;
   return 0;
 }

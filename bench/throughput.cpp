@@ -39,7 +39,6 @@
 #include "common/stats.h"
 #include "crypto/cpu_dispatch.h"
 #include "crypto/op_count.h"
-#include "crypto/x25519_batch.h"
 #include "json/json.h"
 #include "load/sweep.h"
 #include "sim/shard_pool.h"
@@ -285,7 +284,7 @@ bool validate(const std::string& text) {
   }
   const json::Value* eph = field("x25519_pool");
   if (eph == nullptr || !eph->is_object()) return fail("x25519_pool");
-  for (const char* key : {"hit", "refill_keys", "shared_keys"}) {
+  for (const char* key : {"hit", "refill_keys"}) {
     const json::Object& e = eph->as_object();
     const auto it = e.find(key);
     if (it == e.end() || !it->second.is_number()) {
@@ -439,16 +438,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(resume_rejects),
               100.0 * resumption_rate, per_reg.x25519);
   // refill_keys counts key pairs minted (a multiple of the batch
-  // capacity, so it reads >= hits); shared_keys counts pairs whose
-  // peer shared secret was batch-precomputed.
-  std::printf("  x25519 pool: %llu hits / %llu keys minted in refills / "
-              "%llu shared precomputed\n",
+  // capacity, so it reads >= hits).
+  std::printf("  x25519 pool: %llu hits / %llu keys minted in refills\n",
               static_cast<unsigned long long>(
                   counter_value("x25519.pool.hit")),
               static_cast<unsigned long long>(
-                  counter_value("x25519.pool.refill_keys")),
-              static_cast<unsigned long long>(
-                  counter_value("x25519.pool.shared_keys")));
+                  counter_value("x25519.pool.refill_keys")));
 
   const double headline_regs_per_s =
       total_wall_ms > 0.0
@@ -460,8 +455,6 @@ int main(int argc, char** argv) {
   json::Object root;
   root["schema"] = json::Value(kSchemaId);
   root["backend"] = json::Value(backend);
-  root["x25519_batch_engine"] =
-      json::Value(crypto::x25519_batch_engine_name(crypto::x25519_batch_engine()));
   root["smoke"] = json::Value(opt.smoke);
   root["ue_count"] = json::Value(static_cast<std::uint64_t>(opt.ue_count));
   root["rate_per_s"] = json::Value(opt.rate_per_s);
@@ -491,7 +484,6 @@ int main(int argc, char** argv) {
     json::Object eph_obj;
     eph_obj["hit"] = json::Value(counter_value("x25519.pool.hit"));
     eph_obj["refill_keys"] = json::Value(counter_value("x25519.pool.refill_keys"));
-    eph_obj["shared_keys"] = json::Value(counter_value("x25519.pool.shared_keys"));
     root["x25519_pool"] = json::Value(std::move(eph_obj));
   }
   root["x25519_per_reg"] = json::Value(per_reg.x25519);

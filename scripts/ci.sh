@@ -30,21 +30,14 @@
 #                             # wire-pool / TLS-resumption hit rates and
 #                             # the scalar-mult budget, lint src/ + bench/,
 #                             # and pin the declassify audit surface
-#   scripts/ci.sh crypto-parity # kernel_parity under both crypto
-#                             # backends (scalar and accel), plus a
-#                             # non-vector fallback smoke: the scaling
-#                             # bench digests must be byte-identical
-#                             # with the batch engine forced to scalar
-#                             # and capped at the AVX2 kernel vs the
-#                             # default dispatch
-#   scripts/ci.sh scale-smoke # shard-runner determinism: run the scaling
-#                             # bench at 1 and 2 workers and diff the
-#                             # per-case digests byte-for-byte against
-#                             # the sequential reference
-#   scripts/ci.sh wire-parity # co-located fast path bit-identity: the
-#                             # scaling digests must be byte-identical
-#                             # with SHIELD5G_BUS_FASTPATH forced off,
-#                             # forced on, and left at the default
+#   scripts/ci.sh digest-parity # bit-identity matrix: kernel_parity
+#                             # under both crypto backends, then the
+#                             # scaling bench's per-case digests at 1 and
+#                             # 2 shard workers, with the scalar crypto
+#                             # backend, and with SHIELD5G_BUS_FASTPATH
+#                             # forced off and on, each diffed
+#                             # byte-for-byte against the default
+#                             # sequential reference
 #   scripts/ci.sh serve-smoke # sharded serving plane: provision 1M
 #                             # subscribers into the columnar UDR store
 #                             # under the pinned peak-RSS ceiling, then
@@ -208,8 +201,7 @@ print(f"bench-smoke: tls_resume {res['hit']} hits / {res['miss']} misses / "
       f"{res['reject']} rejects ({100 * doc['resumption_rate']:.1f}% resumed), "
       f"{doc['x25519_per_reg']:.2f} x25519/reg")
 print(f"bench-smoke: x25519_pool {eph['hit']} hits / "
-      f"{eph['refill_keys']} refill keys / {eph['shared_keys']} shared, "
-      f"engine {doc['x25519_batch_engine']}")
+      f"{eph['refill_keys']} refill keys")
 EOF
     (cd "$repo" && "$build/tools/shield_analyze/shield_analyze" \
          --baseline tools/shield_analyze/baseline.txt src bench)
@@ -233,78 +225,40 @@ EOF
     fi
     echo "bench-smoke: OK"
     ;;
-  crypto-parity)
+  digest-parity)
     build="${BUILD_DIR:-$repo/build}"
     cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
     cmake --build "$build" --target kernel_parity_test shard_scaling \
           -j "$jobs"
-    # Bit-identity across dispatch: the full parity suite (1k+ random
+    # Bit-identity across crypto dispatch: the parity suite (random
     # scalars/points incl. twist and u=0, RFC 7748 vectors, op-count
-    # neutrality) must pass with the crypto backend pinned either way.
-    # On hosts without AVX2/IFMA the vector cases skip; the scalar
-    # reference still runs, so this stage never silently no-ops.
+    # parity) must pass with the backend pinned either way.
     SHIELD5G_CRYPTO_BACKEND=scalar "$build/tests/kernel_parity_test"
     SHIELD5G_CRYPTO_BACKEND=accel "$build/tests/kernel_parity_test"
-    # Non-vector fallback smoke: a plain host dispatches the batch to
-    # the scalar ladder, an AVX2-only host to the x4 kernel. Force both
-    # paths and require the end-to-end scaling digests byte-identical
-    # to the default dispatch (IFMA where the host has it).
-    rm -f "$build"/parity_digests_*.txt
-    run_scaling() {  # $1 = tag (also digest prefix suffix)
-      "$build/bench/shard_scaling" --smoke --workers 1 \
-          --digest "$build/parity_digests_$1" \
-          "$build/BENCH_scaling_parity_$1.json"
-    }
-    run_scaling default
-    SHIELD5G_X25519_BATCH=scalar SHIELD5G_CRYPTO_BACKEND=scalar \
-      run_scaling scalar
-    SHIELD5G_X25519_BATCH=x4 run_scaling x4
-    cmp "$build/parity_digests_default_seq.txt" \
-        "$build/parity_digests_scalar_seq.txt"
-    cmp "$build/parity_digests_default_seq.txt" \
-        "$build/parity_digests_x4_seq.txt"
-    echo "crypto-parity: OK"
-    ;;
-  scale-smoke)
-    build="${BUILD_DIR:-$repo/build}"
-    cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
-    cmake --build "$build" --target shard_scaling -j "$jobs"
-    out="$build/BENCH_scaling.json"
-    digests="$build/scale_digests"
+    # Every wall-clock-only choice must be invisible in virtual time:
+    # per-case digests (trace hashes, counters, latency sample bit
+    # patterns) byte-equal across shard worker counts, crypto backends
+    # and the co-located fast path. The binary already fails on a
+    # worker-count divergence; the cmp below re-proves it from the
+    # emitted artifacts, so a bug in its own comparison cannot mask a
+    # determinism break.
+    digests="$build/parity_digests"
     rm -f "$digests"_*.txt
-    # The binary already fails on any digest mismatch; the byte-for-byte
-    # cmp below re-proves it from the emitted artifacts, so a bug in the
-    # binary's own comparison cannot mask a determinism break.
-    "$build/bench/shard_scaling" --smoke --workers 1,2 \
-        --digest "$digests" "$out"
-    grep -q '"schema":"shield5g.bench.shard_scaling.v1"' "$out"
-    grep -q '"deterministic":true' "$out"
-    cmp "${digests}_seq.txt" "${digests}_w1.txt"
-    cmp "${digests}_seq.txt" "${digests}_w2.txt"
-    echo "scale-smoke: OK"
-    ;;
-  wire-parity)
-    build="${BUILD_DIR:-$repo/build}"
-    cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
-    cmake --build "$build" --target shard_scaling -j "$jobs"
-    # The fast path must be invisible in virtual time: per-case digests
-    # (trace hashes, counters, latency sample bit patterns) byte-equal
-    # whether co-located deliveries skip the wire or not. Same within-run
-    # cmp discipline as crypto-parity — no checked-in digest values.
-    rm -f "$build"/wire_digests_*.txt
-    run_scaling() {  # $1 = tag
-      "$build/bench/shard_scaling" --smoke --workers 1 \
-          --digest "$build/wire_digests_$1" \
-          "$build/BENCH_scaling_wire_$1.json"
+    run_scaling() {  # $1 = tag, $2 = worker list
+      "$build/bench/shard_scaling" --smoke --workers "$2" \
+          --digest "${digests}_$1" "$build/BENCH_scaling_$1.json"
     }
-    run_scaling default
-    SHIELD5G_BUS_FASTPATH=off run_scaling off
-    SHIELD5G_BUS_FASTPATH=on run_scaling on
-    cmp "$build/wire_digests_default_seq.txt" \
-        "$build/wire_digests_off_seq.txt"
-    cmp "$build/wire_digests_default_seq.txt" \
-        "$build/wire_digests_on_seq.txt"
-    echo "wire-parity: OK"
+    run_scaling default 1,2
+    grep -q '"schema":"shield5g.bench.shard_scaling.v1"' \
+      "$build/BENCH_scaling_default.json"
+    grep -q '"deterministic":true' "$build/BENCH_scaling_default.json"
+    SHIELD5G_CRYPTO_BACKEND=scalar run_scaling scalar 1
+    SHIELD5G_BUS_FASTPATH=off run_scaling fastpath_off 1
+    SHIELD5G_BUS_FASTPATH=on run_scaling fastpath_on 1
+    for f in "$digests"_*.txt; do
+      cmp "${digests}_default_seq.txt" "$f"
+    done
+    echo "digest-parity: OK"
     ;;
   serve-smoke)
     build="${BUILD_DIR:-$repo/build}"

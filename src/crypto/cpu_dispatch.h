@@ -28,16 +28,9 @@ void force_backend(CryptoBackend backend) noexcept;
 /// Test hook: drop a force_backend() pin and return to auto selection.
 void clear_forced_backend() noexcept;
 
-/// Raw CPUID feature bits (false on non-x86 builds). cpu_has_avx2 also
-/// requires OS support for YMM state (OSXSAVE + XCR0), so a true result
-/// means the 4-lane x25519 kernels are actually executable.
-/// cpu_has_avx512ifma additionally requires AVX512F/VL/DQ and the OS
-/// saving opmask + ZMM state, covering the IFMA ladder's 256-bit
-/// vpmadd52/vpmullq forms.
+/// Raw CPUID feature bits (false on non-x86 builds).
 bool cpu_has_aesni() noexcept;
 bool cpu_has_shani() noexcept;
-bool cpu_has_avx2() noexcept;
-bool cpu_has_avx512ifma() noexcept;
 
 /// Human-readable name for reports ("scalar" / "accel").
 const char* backend_name(CryptoBackend backend) noexcept;

@@ -94,12 +94,6 @@ EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
   return encrypt_with(ephemeral, shared, plaintext);
 }
 
-EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
-                              const X25519SharedKeyPair& prepared) {
-  (void)receiver_public;  // the pool already bound prepared.shared to it
-  return encrypt_with(prepared.kp, prepared.shared, plaintext);
-}
-
 std::optional<Bytes> ecies_decrypt(SecretView receiver_private,
                                    const EciesCiphertext& ct) {
   const X25519Key shared = x25519(receiver_private, ct.ephemeral_public);

@@ -46,15 +46,6 @@ EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
 EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
                               const X25519KeyPair& ephemeral);
 
-/// Variant consuming a pool-prepared pair whose shared secret against
-/// `receiver_public` was already computed (EphemeralKeyPool's batched
-/// acquire_shared): no scalar multiplication runs here at all. The
-/// caller asserts that `prepared.shared` was formed against this
-/// receiver key; output is identical to the other variants fed the
-/// same ephemeral scalar.
-EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
-                              const X25519SharedKeyPair& prepared);
-
 /// Decrypts; returns nullopt if the MAC tag does not verify. The
 /// receiver's private scalar is the home-network secret.
 std::optional<Bytes> ecies_decrypt(SecretView receiver_private,

@@ -1,35 +1,24 @@
-// Precomputed X25519 ephemeral-key pool.
+// Pregenerated X25519 ephemeral-key pool.
 //
-// PR 5's Amdahl breakdown pins ~78% of wall-clock on ladder-bound
-// X25519, and half of every TLS client handshake / ECIES conceal is the
+// Half of every TLS client handshake and every ECIES conceal is the
 // fixed-base multiplication that mints the ephemeral key pair — work
 // that depends on nothing but entropy and can run off the critical
-// path. This pool pregenerates key pairs in batches from its own
-// deterministic RNG stream: consumers (the Bus's client handshakes and
-// the UE's SUCI conceal) pop a ready pair and pay only the single
-// variable-base multiplication against the peer key.
-//
-// PR 7 extends the pool with per-peer *shared-secret* precompute:
-// consumers that talk to a stable peer key (the home-network SUCI key,
-// a server's TLS identity) can acquire_shared() a key pair bundled
-// with its X25519 shared secret. The pool prepares those in groups so
-// the variable-base multiplications flow through x25519_batch() and
-// hit the 4-lane AVX2 ladder; prewarm_shared() lets a scheduler that
-// knows a burst is coming (the load generator's per-tick conceal
-// coalescing) size the group exactly.
+// path. This pool keeps a ring of pregenerated key pairs, refilled in
+// batches from its own deterministic RNG stream: consumers (the Bus's
+// client handshakes and the UE's SUCI conceal) acquire() a ready pair
+// and pay only the one variable-base x25519() against the peer key,
+// which the comb cache (crypto/x25519.cpp) serves once the peer key
+// is stable.
 //
 // Determinism contract: one pool per Slice, seeded from the slice seed,
 // consumed in the slice's deterministic event order — so sweep digests
-// stay byte-identical at any shard worker count. Refills and shared
-// prefills exclude their scalar mults from the thread's op meter
-// (modeling background generation outside the virtual-time critical
-// path); each consumed pair charges exactly the one x25519 op the
-// serial path would, at acquisition. The pool reports through the
-// process-wide `x25519.pool.{hit,refill_keys,shared_keys}` counters,
+// stay byte-identical at any shard worker count. Refills exclude their
+// scalar mults from the thread's op meter (modeling background
+// generation outside the virtual-time critical path). The pool reports
+// through the process-wide `x25519.pool.{hit,refill_keys}` counters,
 // which never feed digests.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -47,14 +36,6 @@ class EphemeralKeyPool {
     std::uint64_t seed = 0;
   };
 
-  /// Lane width the shared-precompute path fills by default once a peer
-  /// shows repeat traffic — matches the x25519_batch 4-lane kernel.
-  static constexpr std::size_t kSharedBatch = 4;
-
-  /// Distinct peer keys with prepared shared secrets; least recently
-  /// used slot is evicted beyond this.
-  static constexpr std::size_t kMaxPeerSlots = 8;
-
   explicit EphemeralKeyPool(Config config);
 
   EphemeralKeyPool(const EphemeralKeyPool&) = delete;
@@ -65,50 +46,19 @@ class EphemeralKeyPool {
   /// though in normal operation a pool belongs to one slice.
   X25519KeyPair acquire();
 
-  /// Pops a key pair together with its precomputed shared secret
-  /// against `peer_public` (32 bytes). Charges the consumer's op meter
-  /// exactly one x25519 op — the same bill as acquire() followed by a
-  /// serial x25519() against the peer — so virtual-time accounting is
-  /// unchanged; the mult itself ran off-meter in a prepared group. A
-  /// cold peer prepares a single pair; peers with repeat traffic
-  /// prepare kSharedBatch at a time so the mults batch 4-wide.
-  X25519SharedKeyPair acquire_shared(ByteView peer_public);
-
-  /// Ensures at least `count` prepared pairs are ready for
-  /// `peer_public`, batching the variable-base mults off-meter. Call
-  /// before a known burst (e.g. N conceals scheduled for the same
-  /// tick) so the group runs through the 4-lane kernel at full width.
-  void prewarm_shared(ByteView peer_public, std::size_t count);
-
   /// Key pairs currently ready (diagnostics / tests).
   std::size_t available() const;
-
-  /// Prepared shared pairs ready for `peer_public` (diagnostics / tests).
-  std::size_t available_shared(ByteView peer_public) const;
 
   /// Key pairs generated so far, including the initial fill.
   std::uint64_t generated() const;
 
  private:
-  struct PeerSlot {
-    std::array<std::uint8_t, 32> peer{};
-    std::vector<X25519SharedKeyPair> ready;  // consumed front-first (FIFO)
-    std::uint64_t last_use = 0;
-    std::uint64_t acquires = 0;
-  };
-
   void refill_locked() SHIELD_REQUIRES(mu_);
-  X25519KeyPair take_pair_locked() SHIELD_REQUIRES(mu_);
-  PeerSlot& slot_for_locked(ByteView peer_public) SHIELD_REQUIRES(mu_);
-  void fill_shared_locked(PeerSlot& slot, std::size_t count)
-      SHIELD_REQUIRES(mu_);
 
   Config config_;
   mutable std::mutex mu_;
   Rng rng_ SHIELD_GUARDED_BY(mu_);
   std::vector<X25519KeyPair> ring_ SHIELD_GUARDED_BY(mu_);
-  std::vector<PeerSlot> peers_ SHIELD_GUARDED_BY(mu_);
-  std::uint64_t peer_clock_ SHIELD_GUARDED_BY(mu_) = 0;
   std::uint64_t generated_ SHIELD_GUARDED_BY(mu_) = 0;
 };
 

@@ -130,12 +130,6 @@ Suci conceal_supi(const std::string& mcc, const std::string& mnc,
   return conceal_supi_impl(mcc, mnc, msin, scheme, hn_public, ephemeral);
 }
 
-Suci conceal_supi(const std::string& mcc, const std::string& mnc,
-                  const std::string& msin, SuciScheme scheme,
-                  ByteView hn_public, const X25519SharedKeyPair& prepared) {
-  return conceal_supi_impl(mcc, mnc, msin, scheme, hn_public, prepared);
-}
-
 std::optional<std::string> deconceal_suci(const Suci& suci,
                                           SecretView hn_private) {
   Bytes plaintext;

@@ -50,14 +50,6 @@ Suci conceal_supi(const std::string& mcc, const std::string& mnc,
                   const std::string& msin, SuciScheme scheme,
                   ByteView hn_public, const X25519KeyPair& ephemeral);
 
-/// Variant consuming a pool-prepared pair with the shared secret
-/// against `hn_public` already computed (batched off the critical
-/// path): zero scalar mults in-line. Identical output for the same
-/// ephemeral scalar.
-Suci conceal_supi(const std::string& mcc, const std::string& mnc,
-                  const std::string& msin, SuciScheme scheme,
-                  ByteView hn_public, const X25519SharedKeyPair& prepared);
-
 /// SIDF side: recovers the SUPI string "<mcc><mnc><msin>".
 /// Returns nullopt on MAC failure or malformed scheme output.
 /// The home-network private scalar is tainted.

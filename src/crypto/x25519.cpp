@@ -288,28 +288,6 @@ X25519KeyPair x25519_keypair(ByteView random32) {
 
 namespace detail {
 
-void x25519_clamp(std::uint8_t k[32], SecretView scalar) {
-  if (scalar.size() != 32) {
-    throw std::invalid_argument("x25519_clamp: scalar must be 32 bytes");
-  }
-  clamp(k, scalar);
-}
-
-void x25519_ladder_fraction(const std::uint8_t k[32], ByteView u,
-                            fe25519::Fe& num, fe25519::Fe& den) {
-  ladder_fraction(k, u, num, den);
-}
-
-void x25519_mult_fraction(const std::uint8_t k[32], ByteView u,
-                          fe25519::Fe& num, fe25519::Fe& den) {
-  mult_fraction(k, u, num, den);
-}
-
-const CombTable* x25519_batch_comb_lookup(ByteView u) {
-  if (active_backend() != CryptoBackend::kAccelerated) return nullptr;
-  return comb_lookup(u);
-}
-
 X25519Key x25519_ladder(SecretView scalar, ByteView u) {
   if (scalar.size() != 32 || u.size() != 32) {
     throw std::invalid_argument("x25519: inputs must be 32 bytes");

@@ -42,13 +42,4 @@ X25519KeyPair x25519_keypair(ByteView random32);
 X25519KeyPair x25519_keypair_shared(ByteView random32, ByteView peer_public,
                                     X25519Key& shared_out);
 
-/// An ephemeral key pair bundled with the shared secret it forms with a
-/// known peer key — what a TLS first contact or an ECIES conceal
-/// actually consumes. Produced in batches by EphemeralKeyPool's
-/// per-peer precompute (crypto/eph_pool.h).
-struct X25519SharedKeyPair {
-  X25519KeyPair kp;
-  X25519Key shared{};
-};
-
 }  // namespace shield5g::crypto

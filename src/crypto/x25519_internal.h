@@ -6,33 +6,11 @@
 #pragma once
 
 #include "crypto/x25519.h"
-#include "crypto/x25519_comb.h"
 
 namespace shield5g::crypto::detail {
 
 /// Montgomery ladder, unconditionally. Does not charge op counts.
 X25519Key x25519_ladder(SecretView scalar, ByteView u);
-
-/// RFC 7748 clamp of a 32-byte secret scalar into `k`.
-void x25519_clamp(std::uint8_t k[32], SecretView scalar);
-
-/// Ladder up to (not including) the final inversion: u = num/den.
-/// `k` must already be clamped. Does not charge op counts.
-void x25519_ladder_fraction(const std::uint8_t k[32], ByteView u,
-                            fe25519::Fe& num, fe25519::Fe& den);
-
-/// Like x25519_ladder_fraction but comb-aware: takes the comb fast
-/// path when the accel backend is active and a table exists for `u`
-/// (recording the sighting either way) — the exact path the public
-/// x25519() takes. Does not charge op counts.
-void x25519_mult_fraction(const std::uint8_t k[32], ByteView u,
-                          fe25519::Fe& num, fe25519::Fe& den);
-
-/// One comb-cache lookup for `u` (accel backend only; nullptr under the
-/// scalar backend or when the point is ladder-bound). Counts as a
-/// sighting for graduation, exactly like the serial path's lookup —
-/// batch callers must call this at most once per point per mult.
-const CombTable* x25519_batch_comb_lookup(ByteView u);
 
 /// Edwards comb, unconditionally (builds a throwaway table when the
 /// point is not already cached). Throws std::invalid_argument when the

@@ -5,10 +5,8 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
-#include "crypto/eph_pool.h"
 #include "ran/ue.h"
 #include "sim/scheduler.h"
 
@@ -161,39 +159,14 @@ class Engine {
     schedule_plan(plan);
   }
 
-  /// Schedules every planned session; when several arrivals land on the
-  /// same scheduler tick, a prewarm event is inserted before the first
-  /// of them (FIFO tie-break on equal timestamps) so the burst's SUCI
-  /// conceals consume shared secrets the pool batched 4-wide through
-  /// x25519_batch instead of each paying a serial mult. The prewarm is
-  /// off the op meter, so virtual-time results are unchanged.
+  /// Schedules every planned session.
   void schedule_plan(
       const std::vector<std::pair<std::uint32_t, sim::Nanos>>& plan) {
     sessions_.reserve(sessions_.size() + plan.size());
-    // The whole arrival schedule lands in the scheduler up front (plus
-    // a prewarm event per burst tick); size the event storage once.
+    // The whole arrival schedule lands in the scheduler up front; size
+    // the event storage once.
     scheduler_.reserve(plan.size() + 8);
-    crypto::EphemeralKeyPool* pool = slice_.eph_pool();
-    std::unordered_map<sim::Nanos, std::uint32_t> tick_count;
-    if (pool != nullptr) {
-      for (const auto& p : plan) ++tick_count[p.second];
-    }
-    for (const auto& p : plan) {
-      if (pool != nullptr) {
-        const auto it = tick_count.find(p.second);
-        if (it != tick_count.end()) {
-          const std::uint32_t burst = it->second;
-          tick_count.erase(it);  // one prewarm per tick, at first arrival
-          if (burst >= 2) {
-            slice::Slice* slice = &slice_;
-            scheduler_.at(p.second, [slice, pool, burst] {
-              pool->prewarm_shared(ByteView(slice->hn_public()), burst);
-            });
-          }
-        }
-      }
-      schedule_session(p.first, p.second);
-    }
+    for (const auto& p : plan) schedule_session(p.first, p.second);
   }
 
   void schedule_session(std::uint32_t ue, sim::Nanos at) {

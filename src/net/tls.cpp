@@ -251,12 +251,10 @@ TlsSession::ClientHandshake TlsSession::client_connect_resumable(
   crypto::X25519Key shared;
   crypto::X25519KeyPair eph;
   if (pool != nullptr) {
-    // Pool-prepared ephemeral with the shared secret against this
-    // server key precomputed in a batch: no scalar mult runs in-line
-    // (the op meter is still charged one, at acquisition).
-    crypto::X25519SharedKeyPair prep = pool->acquire_shared(server_public);
-    eph = std::move(prep.kp);
-    shared = prep.shared;
+    // Pregenerated ephemeral: only the variable-base mult against the
+    // server key runs in-line.
+    eph = pool->acquire();
+    shared = crypto::x25519(eph.private_key, server_public);
   } else {
     eph = crypto::x25519_keypair_shared(rng.bytes(32), server_public, shared);
   }

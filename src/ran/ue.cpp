@@ -16,15 +16,11 @@ UeDevice::UeDevice(UsimConfig usim, std::uint64_t seed,
 }
 
 crypto::Suci UeDevice::conceal_supi() {
-  // Pool path: zero in-line scalar mults per SUCI — the pair and its
-  // shared secret against the home-network key come precomputed in
-  // 4-wide batches (the op meter is still charged one mult at
-  // acquisition). Legacy path is byte-identical to earlier revisions
-  // (same rng_ stream).
-  if (eph_pool_ != nullptr) {
-    return usim_.make_suci(
-        eph_pool_->acquire_shared(usim_.config().hn_public));
-  }
+  // Pool path: the ephemeral pair comes pregenerated, so the SUCI costs
+  // one in-line scalar mult (the shared secret against the home-network
+  // key) instead of two. Legacy path is byte-identical to earlier
+  // revisions (same rng_ stream).
+  if (eph_pool_ != nullptr) return usim_.make_suci(eph_pool_->acquire());
   return usim_.make_suci(rng_.bytes(32));
 }
 

@@ -33,13 +33,6 @@ crypto::Suci Usim::make_suci(const crypto::X25519KeyPair& ephemeral) const {
                               config_.hn_public, ephemeral);
 }
 
-crypto::Suci Usim::make_suci(
-    const crypto::X25519SharedKeyPair& prepared) const {
-  return crypto::conceal_supi(config_.plmn.mcc, config_.plmn.mnc,
-                              config_.msin, config_.suci_scheme,
-                              config_.hn_public, prepared);
-}
-
 AuthOutcome Usim::verify_challenge(ByteView rand, ByteView autn) {
   const auto fields = crypto::parse_autn(autn);
   auto out = milenage_.compute_f2345(rand);

@@ -66,11 +66,6 @@ class Usim {
   /// precompute pool): one scalar mult instead of two.
   crypto::Suci make_suci(const crypto::X25519KeyPair& ephemeral) const;
 
-  /// Variant consuming a pool-prepared pair whose shared secret against
-  /// the home-network key was precomputed in a batch: zero in-line
-  /// scalar mults. Identical SUCI for the same ephemeral scalar.
-  crypto::Suci make_suci(const crypto::X25519SharedKeyPair& prepared) const;
-
   /// Verifies a (RAND, AUTN) challenge per TS 33.102 §6.3.3.
   AuthOutcome verify_challenge(ByteView rand, ByteView autn);
 

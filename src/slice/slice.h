@@ -108,11 +108,6 @@ class Slice {
   net::Bus& bus() noexcept { return bus_; }
   /// Ephemeral-key pool (nullptr unless SliceConfig::eph_pool).
   crypto::EphemeralKeyPool* eph_pool() noexcept { return eph_pool_.get(); }
-  /// Home-network ECIES public key (the peer of every SUCI conceal) —
-  /// lets the load generator prewarm the pool's shared-secret batches.
-  const crypto::X25519Key& hn_public() const noexcept {
-    return hn_key_.public_key;
-  }
   nf::Udr& udr() noexcept { return *udr_; }
   nf::Udm& udm() noexcept { return *udm_; }
   nf::Ausf& ausf() noexcept { return *ausf_; }

@@ -598,6 +598,28 @@ TEST(Suci, TamperedSchemeOutputRejected) {
   EXPECT_FALSE(deconceal_suci(suci, hn.private_key).has_value());
 }
 
+TEST(Suci, PregeneratedKeyPairMatchesEntropyVariant) {
+  // The pool path conceals with a key pair minted ahead of time; fed the
+  // same 32 ephemeral bytes it must produce the entropy path's SUCI
+  // byte for byte, and spend one scalar mult instead of two.
+  Rng rng(21);
+  const auto hn = x25519_keypair(rng.bytes(32));
+  const Bytes random = rng.bytes(32);
+  const X25519KeyPair eph = x25519_keypair(random);
+
+  const OpCounts before = op_counts();
+  const Suci pooled = conceal_supi("001", "01", "0000000007",
+                                   SuciScheme::kProfileA, hn.public_key, eph);
+  EXPECT_EQ((op_counts() - before).x25519_ops, 1u);
+  const Suci fresh = conceal_supi("001", "01", "0000000007",
+                                  SuciScheme::kProfileA, hn.public_key,
+                                  random);
+  EXPECT_EQ(pooled.to_string(), fresh.to_string());
+  const auto supi = deconceal_suci(pooled, hn.private_key);
+  ASSERT_TRUE(supi.has_value());
+  EXPECT_EQ(*supi, "001010000000007");
+}
+
 // ---------------------------------------------------------------------
 // Op counters
 // ---------------------------------------------------------------------

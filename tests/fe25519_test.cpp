@@ -7,8 +7,7 @@
 // fe_sub of such sums under 2^53.2, both safe as multiplier inputs.
 // These tests drive randomized limb patterns through every op and check
 // both halves of the contract — the numeric value (mod p, via the
-// oracle) and the output ranges — for the scalar backend and, through
-// the x25519_x4 lane-sliced hooks, for the AVX2 4-lane backend.
+// oracle) and the output ranges.
 
 #include <gtest/gtest.h>
 
@@ -16,9 +15,7 @@
 #include <cstdint>
 
 #include "common/rng.h"
-#include "crypto/cpu_dispatch.h"
 #include "crypto/fe25519.h"
-#include "crypto/x25519_batch.h"
 
 namespace shield5g::crypto {
 namespace {
@@ -235,88 +232,6 @@ TEST(Fe25519, StoreCanonicalizesLooseLimbs) {
   for (int round = 0; round < 500; ++round) {
     const Fe a = random_limbs(rng, 54);
     ASSERT_EQ(fe_bytes(a), big_bytes(big_mod_p(big_from_fe(a))));
-  }
-}
-
-// ---------------------------------------------------------------------
-// The same contract, through the 4-lane AVX2 backend's test hooks: the
-// lanes accept the identical loose domain and must return carried,
-// bit-identical values.
-// ---------------------------------------------------------------------
-
-bool x4_testable() {
-  return detail::x25519_x4_compiled() && cpu_has_avx2();
-}
-
-bool ifma_testable() {
-  return detail::x25519_ifma_compiled() && cpu_has_avx512ifma();
-}
-
-TEST(Fe25519, X4MulMatchesScalarOnLooseInputs) {
-  if (!x4_testable()) GTEST_SKIP() << "AVX2 kernels unavailable";
-  Rng rng(0xFE25519EULL);
-  for (int round = 0; round < 200; ++round) {
-    Fe a[4], b[4], r[4];
-    for (int l = 0; l < 4; ++l) {
-      a[l] = random_limbs(rng, 54);
-      b[l] = random_limbs(rng, 54);
-    }
-    ASSERT_TRUE(detail::x25519_x4_mul(a, b, r));
-    for (int l = 0; l < 4; ++l) {
-      expect_carried(r[l], "x4 mul");
-      ASSERT_EQ(fe_bytes(r[l]), fe_bytes(fe25519::fe_mul(a[l], b[l])))
-          << "round " << round << " lane " << l;
-    }
-  }
-}
-
-TEST(Fe25519, X4SqMatchesScalarOnLooseInputs) {
-  if (!x4_testable()) GTEST_SKIP() << "AVX2 kernels unavailable";
-  Rng rng(0xFE25519FULL);
-  for (int round = 0; round < 200; ++round) {
-    Fe a[4], r[4];
-    for (int l = 0; l < 4; ++l) a[l] = random_limbs(rng, 54);
-    ASSERT_TRUE(detail::x25519_x4_sq(a, r));
-    for (int l = 0; l < 4; ++l) {
-      expect_carried(r[l], "x4 sq");
-      ASSERT_EQ(fe_bytes(r[l]), fe_bytes(fe25519::fe_sq(a[l])))
-          << "round " << round << " lane " << l;
-    }
-  }
-}
-
-// And once more through the AVX-512 IFMA backend's radix-2^43 domain.
-
-TEST(Fe25519, IfmaMulMatchesScalarOnLooseInputs) {
-  if (!ifma_testable()) GTEST_SKIP() << "IFMA kernels unavailable";
-  Rng rng(0xFE255200ULL);
-  for (int round = 0; round < 200; ++round) {
-    Fe a[4], b[4], r[4];
-    for (int l = 0; l < 4; ++l) {
-      a[l] = random_limbs(rng, 54);
-      b[l] = random_limbs(rng, 54);
-    }
-    ASSERT_TRUE(detail::x25519_ifma_mul(a, b, r));
-    for (int l = 0; l < 4; ++l) {
-      expect_carried(r[l], "ifma mul");
-      ASSERT_EQ(fe_bytes(r[l]), fe_bytes(fe25519::fe_mul(a[l], b[l])))
-          << "round " << round << " lane " << l;
-    }
-  }
-}
-
-TEST(Fe25519, IfmaSqMatchesScalarOnLooseInputs) {
-  if (!ifma_testable()) GTEST_SKIP() << "IFMA kernels unavailable";
-  Rng rng(0xFE255201ULL);
-  for (int round = 0; round < 200; ++round) {
-    Fe a[4], r[4];
-    for (int l = 0; l < 4; ++l) a[l] = random_limbs(rng, 54);
-    ASSERT_TRUE(detail::x25519_ifma_sq(a, r));
-    for (int l = 0; l < 4; ++l) {
-      expect_carried(r[l], "ifma sq");
-      ASSERT_EQ(fe_bytes(r[l]), fe_bytes(fe25519::fe_sq(a[l])))
-          << "round " << round << " lane " << l;
-    }
   }
 }
 

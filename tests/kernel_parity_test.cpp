@@ -9,9 +9,6 @@
 // suite stays green in forced-fallback CI.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <vector>
-
 #include "common/hex.h"
 #include "common/rng.h"
 #include "crypto/aes128.h"
@@ -20,43 +17,20 @@
 #include "crypto/op_count.h"
 #include "crypto/sha256.h"
 #include "crypto/x25519.h"
-#include "crypto/x25519_batch.h"
 #include "crypto/x25519_internal.h"
 
 namespace shield5g::crypto {
 namespace {
 
-// Pins a backend for the scope of one test body.
-// Save/restore, not force/clear: with_backend() nests inside outer
-// ForcedBackend scopes (CombInterplay computes its scalar reference
-// under a forced-accel guard), and a clearing destructor would hand
-// control back to SHIELD5G_CRYPTO_BACKEND mid-test — the crypto-parity
-// CI stage runs this suite with that env var pinned both ways.
+// Pins a backend for the scope of one test body. Scopes must not nest:
+// the destructor hands control back to SHIELD5G_CRYPTO_BACKEND, which
+// the digest-parity CI stage pins both ways around this suite.
 class ForcedBackend {
  public:
-  explicit ForcedBackend(CryptoBackend b) : prev_(current()) {
-    force_backend(b);
-    current() = State{true, b};
-  }
-  ~ForcedBackend() {
-    current() = prev_;
-    if (prev_.forced) {
-      force_backend(prev_.backend);
-    } else {
-      clear_forced_backend();
-    }
-  }
-
- private:
-  struct State {
-    bool forced = false;
-    CryptoBackend backend = CryptoBackend::kScalar;
-  };
-  static State& current() {
-    static State s;
-    return s;
-  }
-  State prev_;
+  explicit ForcedBackend(CryptoBackend b) { force_backend(b); }
+  ~ForcedBackend() { clear_forced_backend(); }
+  ForcedBackend(const ForcedBackend&) = delete;
+  ForcedBackend& operator=(const ForcedBackend&) = delete;
 };
 
 template <typename Fn>
@@ -368,230 +342,6 @@ TEST(KernelParity, X25519OpCountsMatchAcrossBackends) {
     return op_counts().x25519_ops - before;
   };
   EXPECT_EQ(count(CryptoBackend::kScalar), count(CryptoBackend::kAccelerated));
-  detail::x25519_cache_reset();
-}
-
-// ---------------------------------------------------------------------
-// X25519: 4-lane batched ladder vs scalar ladder
-// ---------------------------------------------------------------------
-
-// Pins a batch engine for one test body; on hosts without the AVX2 /
-// IFMA kernels a kX4 or kIfma pin degrades toward scalar and the
-// comparisons become self-consistency, same philosophy as the backend
-// fallbacks above.
-class ForcedBatchEngine {
- public:
-  explicit ForcedBatchEngine(X25519BatchEngine e) {
-    detail::force_batch_engine(e);
-  }
-  ~ForcedBatchEngine() { detail::clear_forced_batch_engine(); }
-};
-
-constexpr X25519BatchEngine kVectorEngines[] = {X25519BatchEngine::kX4,
-                                                X25519BatchEngine::kIfma};
-
-TEST(KernelParity, X25519BatchMatchesLadderRandom1k) {
-  detail::x25519_cache_reset();
-  ForcedBackend backend(CryptoBackend::kAccelerated);
-  for (const auto vector_engine : kVectorEngines) {
-    ForcedBatchEngine engine(vector_engine);
-    Rng rng(0x25519'10);
-    int zero_outputs = 0;
-    for (int round = 0; round < 256; ++round) {
-      Bytes scalars[4], points[4];
-      X25519Key outs[4];
-      X25519BatchItem items[4];
-      for (int l = 0; l < 4; ++l) {
-        scalars[l] = rng.bytes(32);
-        points[l] = rng.bytes(32);
-        // Sprinkle the edge cases across lanes: u = 0 and u = 1 (low
-        // order, output must collapse to zero like the scalar ladder's),
-        // u with the top bit set (RFC 7748 masking). Random points land
-        // on the twist about half the time, so twist coverage is free.
-        if (round % 16 == l) {
-          std::fill(points[l].begin(), points[l].end(), std::uint8_t{0});
-          if (l == 1) points[l][0] = 1;
-          if (l == 2) points[l][31] = 0x80;
-        }
-        items[l] = X25519BatchItem{scalars[l], points[l], &outs[l]};
-      }
-      x25519_batch(items, 4);
-      for (int l = 0; l < 4; ++l) {
-        const auto oracle = detail::x25519_ladder(scalars[l], points[l]);
-        ASSERT_EQ(hex_encode(outs[l]), hex_encode(oracle))
-            << "engine " << x25519_batch_engine_name(vector_engine)
-            << " round " << round << " lane " << l;
-        if (outs[l] == X25519Key{}) ++zero_outputs;
-      }
-    }
-    // The low-order lanes above must actually have exercised the
-    // zero-denominator path through the lane-parallel inversion.
-    EXPECT_GT(zero_outputs, 0);
-  }
-  detail::x25519_cache_reset();
-}
-
-TEST(KernelParity, X25519BatchPartialSizesMatchSerial) {
-  detail::x25519_cache_reset();
-  ForcedBackend backend(CryptoBackend::kAccelerated);
-  for (const auto vector_engine : kVectorEngines) {
-    ForcedBatchEngine engine(vector_engine);
-    Rng rng(0x25519'11);
-    for (const std::size_t n :
-         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
-          std::size_t{7}, std::size_t{9}}) {
-      std::vector<Bytes> scalars(n), points(n);
-      std::vector<X25519Key> outs(n);
-      std::vector<X25519BatchItem> items(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        scalars[i] = rng.bytes(32);
-        points[i] = rng.bytes(32);
-        items[i] = X25519BatchItem{scalars[i], points[i], &outs[i]};
-      }
-      x25519_batch(items.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hex_encode(outs[i]),
-                  hex_encode(detail::x25519_ladder(scalars[i], points[i])))
-            << "engine " << x25519_batch_engine_name(vector_engine) << " n "
-            << n << " item " << i;
-      }
-    }
-  }
-  detail::x25519_cache_reset();
-}
-
-TEST(KernelParity, X25519BatchEnginesAgreeAndRfcVectorHolds) {
-  detail::x25519_cache_reset();
-  ForcedBackend backend(CryptoBackend::kAccelerated);
-  const Bytes scalar =
-      h2b("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
-  const Bytes u =
-      h2b("e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c");
-  Rng rng(0x25519'12);
-  std::vector<Bytes> scalars{scalar}, points{u};
-  for (int i = 1; i < 4; ++i) {
-    scalars.push_back(rng.bytes(32));
-    points.push_back(rng.bytes(32));
-  }
-  auto run = [&](X25519BatchEngine e) {
-    ForcedBatchEngine guard(e);
-    std::vector<X25519Key> outs(4);
-    std::vector<X25519BatchItem> items(4);
-    for (int i = 0; i < 4; ++i) {
-      items[i] = X25519BatchItem{scalars[i], points[i], &outs[i]};
-    }
-    x25519_batch(items.data(), 4);
-    return outs;
-  };
-  const auto via_scalar = run(X25519BatchEngine::kScalar);
-  const auto via_x4 = run(X25519BatchEngine::kX4);
-  const auto via_ifma = run(X25519BatchEngine::kIfma);
-  EXPECT_EQ(hex_encode(via_scalar[0]),
-            "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552");
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(hex_encode(via_scalar[i]), hex_encode(via_x4[i])) << "lane " << i;
-    ASSERT_EQ(hex_encode(via_scalar[i]), hex_encode(via_ifma[i]))
-        << "lane " << i;
-  }
-  detail::x25519_cache_reset();
-}
-
-TEST(KernelParity, X25519BatchOpCountNeutral) {
-  detail::x25519_cache_reset();
-  ForcedBackend backend(CryptoBackend::kAccelerated);
-  Rng rng(0x25519'13);
-  std::vector<Bytes> scalars(7), points(7);
-  for (int i = 0; i < 7; ++i) {
-    scalars[i] = rng.bytes(32);
-    points[i] = rng.bytes(32);
-  }
-  auto charge = [&](X25519BatchEngine e) {
-    ForcedBatchEngine guard(e);
-    std::vector<X25519Key> outs(7);
-    std::vector<X25519BatchItem> items(7);
-    for (int i = 0; i < 7; ++i) {
-      items[i] = X25519BatchItem{scalars[i], points[i], &outs[i]};
-    }
-    const auto before = op_counts().x25519_ops;
-    x25519_batch(items.data(), 7);
-    return op_counts().x25519_ops - before;
-  };
-  // Every engine charges exactly what 7 serial x25519() calls would.
-  EXPECT_EQ(charge(X25519BatchEngine::kScalar), 7u);
-  EXPECT_EQ(charge(X25519BatchEngine::kX4), 7u);
-  EXPECT_EQ(charge(X25519BatchEngine::kIfma), 7u);
-  detail::x25519_cache_reset();
-}
-
-TEST(KernelParity, X25519BatchCombInterplayStaysBitIdentical) {
-  // A batch mixing comb-served lanes (the graduated base point) with
-  // ladder-bound lanes must stay bit-identical to the serial path, and
-  // the batch's cache lookups must graduate points exactly like serial
-  // calls do.
-  detail::x25519_cache_reset();
-  ForcedBackend backend(CryptoBackend::kAccelerated);
-  ForcedBatchEngine engine(X25519BatchEngine::kX4);
-  Bytes base(32, 0);
-  base[0] = 9;
-  Rng rng(0x25519'14);
-  const Bytes scalar = rng.bytes(32);
-  const auto reference = with_backend(CryptoBackend::kScalar, [&] {
-    return x25519_public(scalar);
-  });
-  for (int round = 0; round < 6; ++round) {
-    Bytes scalars[4], points[4];
-    X25519Key outs[4];
-    X25519BatchItem items[4];
-    for (int l = 0; l < 4; ++l) {
-      scalars[l] = l == 0 ? scalar : rng.bytes(32);
-      points[l] = l == 0 ? base : rng.bytes(32);
-      items[l] = X25519BatchItem{scalars[l], points[l], &outs[l]};
-    }
-    x25519_batch(items, 4);
-    ASSERT_EQ(hex_encode(outs[0]), hex_encode(reference)) << "round " << round;
-    for (int l = 1; l < 4; ++l) {
-      ASSERT_EQ(hex_encode(outs[l]),
-                hex_encode(detail::x25519_ladder(scalars[l], points[l])))
-          << "round " << round << " lane " << l;
-    }
-  }
-  // One sighting per batch: the base point crossed kBuildThreshold and
-  // published its table, exactly as 6 serial calls would have.
-  EXPECT_EQ(detail::x25519_cache_size(), 1u);
-  detail::x25519_cache_reset();
-}
-
-TEST(KernelParity, X25519BatchEngineDispatchHonorsBackend) {
-  // SHIELD5G_CRYPTO_BACKEND=scalar (here: a forced scalar backend) must
-  // pull the batch engine down to scalar too — the reference path never
-  // runs vector code.
-  ForcedBackend backend(CryptoBackend::kScalar);
-  EXPECT_EQ(x25519_batch_engine(), X25519BatchEngine::kScalar);
-  EXPECT_STREQ(x25519_batch_engine_name(X25519BatchEngine::kScalar), "scalar");
-  EXPECT_STREQ(x25519_batch_engine_name(X25519BatchEngine::kX4), "x4");
-}
-
-TEST(KernelParity, MultBatcherFlushesInOrder) {
-  detail::x25519_cache_reset();
-  ForcedBackend backend(CryptoBackend::kAccelerated);
-  Rng rng(0x25519'15);
-  std::vector<Bytes> scalars(6), points(6);
-  std::vector<X25519Key> outs(6);
-  MultBatcher batcher;
-  for (int i = 0; i < 6; ++i) {
-    scalars[i] = rng.bytes(32);
-    points[i] = rng.bytes(32);
-    batcher.enqueue(scalars[i], points[i], &outs[i]);
-  }
-  EXPECT_EQ(batcher.pending(), 6u);
-  batcher.flush();
-  EXPECT_EQ(batcher.pending(), 0u);
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_EQ(hex_encode(outs[i]),
-              hex_encode(detail::x25519_ladder(scalars[i], points[i])))
-        << "item " << i;
-  }
-  batcher.flush();  // empty flush is a no-op
   detail::x25519_cache_reset();
 }
 

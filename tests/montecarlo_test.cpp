@@ -250,63 +250,6 @@ TEST(MonteCarlo, EphemeralPoolHammerIsRaceFreeAndThreadCountInvariant) {
   counters_reset();
 }
 
-TEST(MonteCarlo, EphemeralPoolSharedHammerIsRaceFreeAndSecretsCheckOut) {
-  // acquire_shared under contention: one peer key, 8 threads. The
-  // multiset of handed-out pairs must be schedule-independent (prepared
-  // FIFO drains in total order under the lock), every bundled shared
-  // secret must equal a from-scratch X25519 against the peer, and the
-  // generated() total must be a workload property.
-  crypto::EphemeralKeyPool::Config cfg;
-  cfg.capacity = 32;
-  cfg.seed = 0x5EAULL;
-  const crypto::X25519Key peer =
-      crypto::x25519_public(SecretView(Bytes(32, 0x42)));
-
-  const auto hammer = [&peer](crypto::EphemeralKeyPool& pool,
-                              unsigned threads) {
-    const auto acquired = load::monte_carlo(
-        64,
-        [&pool, &peer](std::size_t) {
-          std::uint64_t acc = 0;
-          for (int i = 0; i < 4; ++i) {
-            const crypto::X25519SharedKeyPair prep =
-                pool.acquire_shared(ByteView(peer));
-            EXPECT_EQ(prep.shared,
-                      crypto::x25519(prep.kp.private_key, ByteView(peer)));
-            std::uint64_t h = 0xcbf29ce484222325ULL;
-            for (std::uint8_t b : prep.kp.public_key) {
-              h = (h ^ b) * 0x100000001b3ULL;
-            }
-            acc += h;
-          }
-          return acc;
-        },
-        threads);
-    std::uint64_t sum = 0;
-    for (const std::uint64_t a : acquired) sum += a;
-    return sum;
-  };
-
-  counters_reset();
-  crypto::EphemeralKeyPool serial_pool(cfg);
-  const std::uint64_t serial = hammer(serial_pool, 1);
-  const std::uint64_t serial_hits = counter_value("x25519.pool.hit");
-
-  counters_reset();
-  crypto::EphemeralKeyPool parallel_pool(cfg);
-  const std::uint64_t parallel = hammer(parallel_pool, 8);
-
-  EXPECT_EQ(serial, parallel)
-      << "shared pool handed out schedule-dependent pairs";
-  EXPECT_EQ(serial_hits, 64u * 4u);
-  EXPECT_EQ(counter_value("x25519.pool.hit"), 64u * 4u);
-  EXPECT_EQ(serial_pool.generated(), parallel_pool.generated());
-  // Prepared groups (1, then 4-wide) stay counted: everything prepared
-  // was eventually minted from the ring.
-  EXPECT_GE(counter_value("x25519.pool.shared_keys"), 64u * 4u);
-  counters_reset();
-}
-
 TEST(MonteCarlo, TicketIssuerHammerIsRaceFreeAndSingleUseHolds) {
   // One issuer (one strike register, one mutex) shared by 8 threads:
   // every job issues a ticket, redeems it once (must succeed) and

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "crypto/eph_pool.h"
 #include "crypto/key_hierarchy.h"
 #include "crypto/milenage.h"
+#include "crypto/op_count.h"
 #include "nf/aka_core.h"
+#include "nf/nas.h"
 #include "ran/cots_ue.h"
 #include "ran/radio.h"
 #include "ran/usim.h"
@@ -111,6 +114,38 @@ TEST_F(UsimFixture, SuciConcealment) {
   // The MSIN must not appear in the scheme output.
   EXPECT_EQ(suci.to_string().find("0000000001"), std::string::npos);
   EXPECT_EQ(usim.supi(), "001010000000001");
+}
+
+TEST(UeConceal, PoolBackedRegistrationCostsOneX25519Op) {
+  // With a pool the ephemeral pair is pregenerated off-meter, so each
+  // registration's SUCI costs exactly the one mult against the
+  // home-network key, refills included; without a pool the UE pays the
+  // fused two-mult path.
+  Rng rng(323);
+  UsimConfig cfg = test_usim(rng);
+  const auto hn = crypto::x25519_keypair(rng.bytes(32));
+  cfg.hn_public = Bytes(hn.public_key.begin(), hn.public_key.end());
+  crypto::EphemeralKeyPool pool({/*capacity=*/4, /*seed=*/9});
+  UeDevice ue(cfg, 5, &pool);
+  for (int i = 0; i < 6; ++i) {  // the fifth registration refills the ring
+    const crypto::OpCounts before = crypto::op_counts();
+    const Bytes request = ue.start_registration();
+    EXPECT_EQ((crypto::op_counts() - before).x25519_ops, 1u)
+        << "registration " << i;
+    const auto msg = nf::NasMessage::decode(request);
+    ASSERT_TRUE(msg.has_value());
+    const auto suci =
+        crypto::Suci::from_string(to_string(msg->at(nf::NasIe::kSuci)));
+    ASSERT_TRUE(suci.has_value());
+    EXPECT_EQ(crypto::deconceal_suci(*suci, hn.private_key),
+              "001010000000001");
+  }
+  EXPECT_EQ(pool.generated(), 8u);
+
+  UeDevice legacy(cfg, 5);
+  const crypto::OpCounts before = crypto::op_counts();
+  legacy.start_registration();
+  EXPECT_EQ((crypto::op_counts() - before).x25519_ops, 2u);
 }
 
 // ---------------------------------------------------------------------

@@ -17,7 +17,6 @@
 // Escape hatch: `// ct-audited(<reason>)` on or above the line.
 #include <cstddef>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -35,22 +34,6 @@ const std::unordered_set<std::string>& secret_types() {
 /// Methods whose result is public even when called on a secret.
 bool public_method(const std::string& name) {
   return name == "size" || name == "empty" || name == "declassify";
-}
-
-/// Crypto entry points whose key material arrives as plain byte arrays
-/// — the 4-lane batch kernels take scalars in the lane-sliced wire
-/// shape (uint8_t k[4][32]), which the Secret type system cannot mark.
-/// Seeding the named parameter keeps secret-dependent control flow
-/// inside the kernels visible to this pass.
-const std::unordered_map<std::string, std::vector<std::string>>&
-entry_point_secret_params() {
-  static const std::unordered_map<std::string, std::vector<std::string>>
-      kMap{
-          {"lanes_ladder4", {"k"}},
-          {"x25519_x4_ladder4", {"k"}},
-          {"x25519_ifma_ladder4", {"k"}},
-      };
-  return kMap;
 }
 
 bool keyword(const std::string& t) {
@@ -75,10 +58,9 @@ std::size_t match_brace(const std::vector<Tok>& toks, std::size_t open) {
 /// through body close brace).
 class FunctionTaint {
  public:
-  FunctionTaint(const std::string& file, const std::string& name,
-                const std::vector<Tok>& toks, std::size_t begin,
-                std::size_t end)
-      : file_(file), name_(name), toks_(toks), begin_(begin), end_(end) {}
+  FunctionTaint(const std::string& file, const std::vector<Tok>& toks,
+                std::size_t begin, std::size_t end)
+      : file_(file), toks_(toks), begin_(begin), end_(end) {}
 
   void analyze(std::vector<Finding>& findings) {
     seed();
@@ -115,18 +97,6 @@ class FunctionTaint {
     for (std::size_t i = begin_; i <= end_ && i < toks_.size(); ++i) {
       const std::size_t decl = declared_ident(i);
       if (decl != 0) taint_.insert(normalize_ident(toks_[decl].text));
-    }
-    // Known entry points: the batch kernels' raw-array scalars.
-    const auto& entries = entry_point_secret_params();
-    const auto it = entries.find(name_);
-    if (it == entries.end()) return;
-    const std::size_t close = match_paren(toks_, begin_);
-    for (std::size_t i = begin_ + 1; i < close && i < toks_.size(); ++i) {
-      if (!toks_[i].ident) continue;
-      const std::string norm = normalize_ident(toks_[i].text);
-      for (const std::string& param : it->second) {
-        if (norm == param) taint_.insert(norm);
-      }
     }
   }
 
@@ -177,7 +147,6 @@ class FunctionTaint {
       for (std::size_t i = begin_; i <= end_ && i < toks_.size(); ++i) {
         propagate_assignment(i);
         propagate_memcpy(i);
-        propagate_clamp(i);
       }
       if (taint_.size() == before) break;
     }
@@ -255,19 +224,6 @@ class FunctionTaint {
     if (region_tainted(comma, close)) taint_.insert(normalize_ident(dst));
   }
 
-  /// x25519_clamp(dst, scalar) writes clamped key material: the
-  /// destination is secret no matter how the scalar arrived — the
-  /// batch path hands it over inside X25519BatchItem, which lexical
-  /// taint cannot see through, so the destination seeds unconditionally.
-  void propagate_clamp(std::size_t i) {
-    if (toks_[i].text != "x25519_clamp") return;
-    if (i + 1 >= toks_.size() || toks_[i + 1].text != "(") return;
-    const std::size_t close = match_paren(toks_, i + 1);
-    std::string dst;
-    first_arg_base(i + 1, close, dst);
-    if (!dst.empty()) taint_.insert(normalize_ident(dst));
-  }
-
   void flag(std::vector<Finding>& findings) const {
     for (std::size_t i = begin_; i <= end_ && i < toks_.size(); ++i) {
       const std::string& t = toks_[i].text;
@@ -336,7 +292,6 @@ class FunctionTaint {
   }
 
   const std::string& file_;
-  std::string name_;
   const std::vector<Tok>& toks_;
   std::size_t begin_;
   std::size_t end_;
@@ -379,8 +334,7 @@ void run_ct_flow(const std::string& file, const std::vector<Tok>& toks,
     }
     if (j >= toks.size() || toks[j].text != "{") continue;
     const std::size_t body_end = match_brace(toks, j);
-    FunctionTaint(file, normalize_ident(name.text), toks, i, body_end)
-        .analyze(findings);
+    FunctionTaint(file, toks, i, body_end).analyze(findings);
     i = body_end;
   }
 }

@@ -53,26 +53,6 @@ void copy_then_branch(const SecretBytes& kausf, std::uint8_t* out) {
   }
 }
 
-// The 4-lane batch kernels take raw scalar arrays (the lane-sliced
-// wire shape, no Secret type): ct-flow knows these entry points by
-// name and seeds the scalar parameter.
-void lanes_ladder4(const std::uint8_t k[4][32], std::uint8_t* out) {
-  if (k[0][31] & 0x80) {  // lint-expect(ct-flow)
-    out[0] = 1;
-  }
-}
-
-// x25519_clamp() writes clamped key material: its destination is
-// secret even when the scalar reached it through a struct member the
-// lexical taint cannot see through.
-void clamp_then_branch(const Bytes& wire, std::uint8_t* out) {
-  std::uint8_t k[32];
-  x25519_clamp(k, wire);
-  if (k[0] & 1) {  // lint-expect(ct-flow)
-    out[0] = 1;
-  }
-}
-
 int benign_uses(const SecretBytes& kamf, const sgx::EnclaveContext* ctx) {
   // Benign: the length of a secret is public.
   if (kamf.size() != 32) return -1;
