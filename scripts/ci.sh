@@ -14,7 +14,7 @@
 #                             # tests/ tools/, gated on the checked-in
 #                             # baseline (new findings only), JSON mode
 #                             # self-validated, audit-annotation counts
-#                             # pinned like declassify sites
+#                             # and declassify call sites pinned
 #   scripts/ci.sh tidy        # clang-tidy over compile_commands.json
 #                             # with the repo .clang-tidy (concurrency-*
 #                             # included), gated on
@@ -25,24 +25,13 @@
 #   scripts/ci.sh tsan        # ThreadSanitizer over the Monte Carlo
 #                             # host-thread driver and the shard-pool
 #                             # shared state (comb cache, stats registry)
-#   scripts/ci.sh bench-smoke # tiny wall-clock throughput run: validate
-#                             # the BENCH_throughput.json schema, pin the
-#                             # wire-pool / TLS-resumption hit rates and
-#                             # the scalar-mult budget, lint src/ + bench/,
-#                             # and pin the declassify audit surface
 #   scripts/ci.sh digest-parity # bit-identity matrix: kernel_parity
 #                             # under both crypto backends, then the
 #                             # scaling bench's per-case digests at 1 and
 #                             # 2 shard workers, with the scalar crypto
 #                             # backend, and with SHIELD5G_BUS_FASTPATH
-#                             # forced off and on, each diffed
-#                             # byte-for-byte against the default
-#                             # sequential reference
-#   scripts/ci.sh serve-smoke # sharded serving plane: provision 1M
-#                             # subscribers into the columnar UDR store
-#                             # under the pinned peak-RSS ceiling, then
-#                             # serve at 1 and 2 shards and require the
-#                             # merged digests byte-identical
+#                             # forced off, each diffed byte-for-byte
+#                             # against the default sequential reference
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -76,13 +65,22 @@ case "$stage" in
     echo "$json" | grep -q '"schema":"shield5g.analyze.v1"'
     echo "$json" | grep -q '"clean":true'
     # The audited-annotation surface over shipped code must not grow
-    # silently: same discipline as the declassify pin in bench-smoke.
+    # silently: same discipline as the declassify pin below.
     counts="$(cd "$repo" && "$analyze" --audit-counts src bench \
               | grep -v ': clean')"
     expected="$(printf 'ct-audited=5\ndet-audited=3\nlock-audited=0\nlint-audited=0')"
     if [ "$counts" != "$expected" ]; then
       echo "analyze: audited-annotation counts changed:" >&2
       diff <(echo "$expected") <(echo "$counts") >&2 || true
+      exit 1
+    fi
+    # The secret-taint audit surface must not grow: exactly the blessed
+    # declassify call sites (sbi.h hex dump, UDM provisioning + unseal).
+    sites="$(grep -rn 'declassify(' "$repo/src" --include='*.cpp' \
+             --include='*.h' | grep -v 'common/secret' \
+             | grep -vE ':[0-9]+:[[:space:]]*(//|\*)' | wc -l)"
+    if [ "$sites" -ne 3 ]; then
+      echo "analyze: declassify call sites changed (found $sites, want 3)" >&2
       exit 1
     fi
     echo "analyze: OK"
@@ -135,96 +133,6 @@ case "$stage" in
     cmake --build "$build" --target montecarlo_test -j "$jobs"
     ctest --test-dir "$build" --output-on-failure -R '^MonteCarlo'
     ;;
-  bench-smoke)
-    build="${BUILD_DIR:-$repo/build}"
-    cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
-    cmake --build "$build" --target throughput shield_analyze -j "$jobs"
-    out="$build/BENCH_throughput.json"
-    # The binary self-validates the document before exiting 0; the greps
-    # below catch a stale or truncated file on top of that. One shard
-    # worker: smoke numbers stay uncontended and host-size independent.
-    SHIELD5G_SHARD_WORKERS=1 \
-      "$build/bench/throughput" --smoke 60 1000 1 "$out"
-    grep -q '"schema":"shield5g.bench.throughput.v2"' "$out"
-    grep -q '"regs_per_s"' "$out"
-    grep -q '"stage_ns"' "$out"
-    # Zero-copy wire path: the pooled-buffer fast path must actually be
-    # taken (hits dwarf misses once the per-thread arenas are warm), and
-    # the steady-state allocation rate must not creep back up. The
-    # ceiling is ~15% above the measured 1537 allocs/registration (up
-    # from 1173 pre-resumption: ticket mint/redeem and versioned hellos
-    # allocate) so only a real regression trips it, not run-to-run noise.
-    #
-    # TLS resumption: warm registrations must actually resume (hits dwarf
-    # misses + rejects once every UE holds a ticket), and the scalar-mult
-    # budget must stay pinned. Measured 2.2 X25519 ladders/registration
-    # (cold handshakes amortised over the run; warm SBI exchanges do 0) —
-    # the ceiling of 6 is far below the ~11 of the full-handshake path,
-    # so a silent fallback to full handshakes trips it immediately.
-    #
-    # Ephemeral-key pool: refills must actually mint keys and the serving
-    # path must hit the pool. Every pool hit hands out a key a refill
-    # minted earlier, so hit > refill_keys means the counters themselves
-    # broke (e.g. a rename half-applied).
-    python3 - "$out" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-pool = doc["wire_pool"]
-if pool["hit"] < 1000 or pool["hit"] < 100 * max(pool["miss"], 1):
-    sys.exit(f"bench-smoke: wire pool not hot: {pool}")
-if doc["allocs_per_reg"] > 1760:
-    sys.exit(f"bench-smoke: allocs_per_reg regressed: {doc['allocs_per_reg']}")
-res = doc["tls_resume"]
-if res["hit"] < 1000 or res["hit"] < 20 * max(res["miss"] + res["reject"], 1):
-    sys.exit(f"bench-smoke: tls resumption not hot: {res}")
-if doc["x25519_per_reg"] > 6.0:
-    sys.exit(f"bench-smoke: x25519_per_reg regressed: {doc['x25519_per_reg']}")
-eph = doc["x25519_pool"]
-if eph["hit"] < 100 or eph["refill_keys"] < eph["hit"]:
-    sys.exit(f"bench-smoke: x25519 pool not hot: {eph}")
-# Shed vs error: saturation drops are expected load-shedding, real
-# faults are not — any per-mode error means a handler/transport bug.
-# Co-located fast path: monolithic mode must actually take it, and the
-# isolation modes must never (container/SGX keep the full wire path).
-for m in doc["modes"]:
-    if m["failed"] != m["shed"] + m["error"]:
-        sys.exit(f"bench-smoke: failed != shed + error in {m['mode']}: {m}")
-    if m["error"] != 0:
-        sys.exit(f"bench-smoke: {m['error']} real faults in {m['mode']}")
-    if m["mode"] == "monolithic" and m["fastpath_hits"] == 0:
-        sys.exit("bench-smoke: fast path never fired in monolithic mode")
-    if m["mode"] in ("container", "sgx") and m["fastpath_hits"] != 0:
-        sys.exit(f"bench-smoke: fast path fired in {m['mode']} mode: {m}")
-print(f"bench-smoke: wire_pool {pool['hit']} hits / {pool['miss']} misses, "
-      f"{doc['allocs_per_reg']:.0f} allocs/reg")
-print(f"bench-smoke: tls_resume {res['hit']} hits / {res['miss']} misses / "
-      f"{res['reject']} rejects ({100 * doc['resumption_rate']:.1f}% resumed), "
-      f"{doc['x25519_per_reg']:.2f} x25519/reg")
-print(f"bench-smoke: x25519_pool {eph['hit']} hits / "
-      f"{eph['refill_keys']} refill keys")
-EOF
-    (cd "$repo" && "$build/tools/shield_analyze/shield_analyze" \
-         --baseline tools/shield_analyze/baseline.txt src bench)
-    # The audited-annotation surface must not grow silently: pin the
-    # per-rule marker counts next to the declassify pin below.
-    audits="$(cd "$repo" && "$build/tools/shield_analyze/shield_analyze" \
-              --audit-counts src bench | grep -v ': clean')"
-    if [ "$audits" != "$(printf 'ct-audited=5\ndet-audited=3\nlock-audited=0\nlint-audited=0')" ]; then
-      echo "bench-smoke: audited-annotation counts changed:" >&2
-      echo "$audits" >&2
-      exit 1
-    fi
-    # The secret-taint audit surface must not grow: exactly the blessed
-    # declassify call sites (sbi.h hex dump, UDM provisioning + unseal).
-    sites="$(grep -rn 'declassify(' "$repo/src" --include='*.cpp' \
-             --include='*.h' | grep -v 'common/secret' \
-             | grep -vE ':[0-9]+:[[:space:]]*(//|\*)' | wc -l)"
-    if [ "$sites" -ne 3 ]; then
-      echo "bench-smoke: declassify call sites changed (found $sites, want 3)" >&2
-      exit 1
-    fi
-    echo "bench-smoke: OK"
-    ;;
   digest-parity)
     build="${BUILD_DIR:-$repo/build}"
     cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
@@ -254,42 +162,10 @@ EOF
     grep -q '"deterministic":true' "$build/BENCH_scaling_default.json"
     SHIELD5G_CRYPTO_BACKEND=scalar run_scaling scalar 1
     SHIELD5G_BUS_FASTPATH=off run_scaling fastpath_off 1
-    SHIELD5G_BUS_FASTPATH=on run_scaling fastpath_on 1
     for f in "$digests"_*.txt; do
       cmp "${digests}_default_seq.txt" "$f"
     done
     echo "digest-parity: OK"
-    ;;
-  serve-smoke)
-    build="${BUILD_DIR:-$repo/build}"
-    cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
-    cmake --build "$build" --target serving_plane -j "$jobs"
-    out="$build/BENCH_serving.json"
-    # The binary fails on its own on a digest divergence or an RSS
-    # ceiling breach; the checks below re-prove both verdicts from the
-    # emitted artifact so a bug in the binary's comparison cannot mask
-    # a break.
-    "$build/bench/serving_plane" --smoke --shards 1,2 "$out"
-    grep -q '"schema":"shield5g.bench.serving_plane.v1"' "$out"
-    grep -q '"deterministic":true' "$out"
-    python3 - "$out" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-prov = doc["provision"]
-if not prov["rss_ok"] or prov["rss_after_kb"] > prov["rss_ceiling_kb"]:
-    sys.exit(f"serve-smoke: 1M provision RSS over ceiling: {prov}")
-if prov["subscribers"] != 1_000_000:
-    sys.exit(f"serve-smoke: provision count shrank: {prov['subscribers']}")
-digests = {run["digest"] for run in doc["runs"]}
-if len(digests) != 1 or not all(r["digest_matches_sequential"]
-                                for r in doc["runs"]):
-    sys.exit(f"serve-smoke: shard digests diverge: {doc['runs']}")
-print(f"serve-smoke: 1M provision {prov['rss_after_kb'] // 1024} MB peak "
-      f"(ceiling {prov['rss_ceiling_kb'] // 1024} MB), "
-      f"digest {digests.pop()} identical at "
-      f"{sorted(r['shards'] for r in doc['runs'])} shards")
-EOF
-    echo "serve-smoke: OK"
     ;;
   *)
     build="${BUILD_DIR:-$repo/build}"

@@ -134,8 +134,6 @@ ServingReport run_serving(const ServingConfig& config, unsigned shards) {
     std::exception_ptr first SHIELD_GUARDED_BY(mutex);
   } errors;
 
-  const double t0 = now_ms();
-
   // ---- Consumers: worker w owns slots {s : s % workers == w}. Each
   // drains ALL its mailboxes while the router is still pushing (a
   // worker that served first and drained later could deadlock the
@@ -188,8 +186,6 @@ ServingReport run_serving(const ServingConfig& config, unsigned shards) {
   for (auto& mb : mailboxes) mb->close();
   for (std::thread& t : pool) t.join();
 
-  const double t1 = now_ms();
-
   std::exception_ptr error;
   {
     const std::lock_guard<std::mutex> lock(errors.mutex);
@@ -204,7 +200,6 @@ ServingReport run_serving(const ServingConfig& config, unsigned shards) {
   report.shards = workers;
   report.routed = config.ue_count;
   report.backpressure = backpressure;
-  report.wall_ms = t1 - t0;
   for (const SweepResult& r : results) {
     report.completed += r.report.completed;
     report.registered += r.report.registered;
@@ -215,11 +210,9 @@ ServingReport run_serving(const ServingConfig& config, unsigned shards) {
     report.shed += r.shed;
     report.fastpath_hits += r.fastpath_hits;
   }
-  if (report.wall_ms > 0) {
-    report.regs_per_s = 1000.0 * report.registered / report.wall_ms;
-  }
   // The merge: slot order, same digest machinery as run_sweep — this is
-  // what serve-smoke byte-compares across shard counts.
+  // what Determinism.ServingPlaneDigestIdenticalAcrossShardCounts
+  // byte-compares across shard counts.
   report.digest = sweep_digest(results);
   report.digest_lines = sweep_digest_lines(results);
   report.slots = std::move(results);

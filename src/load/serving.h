@@ -24,7 +24,7 @@
 // through the same case-digest machinery run_sweep uses. The merged
 // digest is therefore byte-identical at 1/2/4/8 shards and across
 // back-to-back cold starts (tests/determinism_test.cpp proves it;
-// bench/serving_plane measures the wall-clock scaling).
+// perfbench's `serving` workload records the wall-clock cost).
 #pragma once
 
 #include <cstdint>
@@ -88,10 +88,6 @@ struct ServingReport {
   /// digest.
   std::uint64_t routed = 0;
   std::uint64_t backpressure = 0;
-  /// Host milliseconds for route + serve (slot slice construction and
-  /// provisioning included — that is real serving-plane work).
-  double wall_ms = 0.0;
-  double regs_per_s = 0.0;
 };
 
 /// Home slot of a SUPI: supi_hash (the UDR's row hash) mod the slot

@@ -43,7 +43,8 @@ struct SweepResult {
   /// from case_digest — the digest must match fast path on vs off.
   std::uint64_t fastpath_hits = 0;
   /// Host milliseconds inside LoadGenerator::run for this case (slice
-  /// construction and provisioning excluded, as in bench/throughput).
+  /// construction and provisioning excluded, as in perfbench's
+  /// `steady` workload).
   double run_wall_ms = 0.0;
   /// This case's exclusive hot-stage nanoseconds (zeros unless
   /// hot_stage collection is enabled).

@@ -349,8 +349,8 @@ TEST(Determinism, ServingPlaneBackpressureIsDigestNeutral) {
 }
 
 TEST(Determinism, ServingPlaneDigestDiscriminates) {
-  // Same guard as the sweep digest: seeds must move the bytes, or the
-  // serve-smoke byte-compare in CI proves nothing.
+  // Same guard as the sweep digest: seeds must move the bytes, or
+  // ServingPlaneDigestIdenticalAcrossShardCounts proves nothing.
   const load::ServingConfig cfg = serving_config();
   const std::uint64_t base = load::run_serving(cfg, 2).digest;
 

@@ -2,6 +2,7 @@
 // the bus request pipeline and its latency accounting.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -614,6 +615,36 @@ TEST(FastpathParity, IneligibleWithoutSharedDomainOrWithFaults) {
       {"echo", parity_request("{}")}};
   (void)faulty.run(plan, false);
   EXPECT_EQ(faulty.bus().fastpath_hits(), 0u);
+}
+
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (value == nullptr) {
+      ::unsetenv(name);
+    } else {
+      ::setenv(name, value, /*overwrite=*/1);
+    }
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+
+ private:
+  const char* name_;
+};
+
+TEST(FastpathParity, EnvironmentDisarmsOnlyOnOffOrZero) {
+  // SHIELD5G_BUS_FASTPATH is read per Bus construction: "off" and "0"
+  // force the legacy wire path; unset or any other value leaves
+  // co-located delivery armed, so "on" is the same run as the default.
+  const std::pair<const char*, bool> cases[] = {
+      {nullptr, true}, {"on", true}, {"1", true}, {"off", false}, {"0", false}};
+  for (const auto& [value, armed] : cases) {
+    const ScopedEnv env("SHIELD5G_BUS_FASTPATH", value);
+    sim::VirtualClock clock;
+    const Bus bus(clock);
+    EXPECT_EQ(bus.fastpath(), armed)
+        << "SHIELD5G_BUS_FASTPATH=" << (value ? value : "(unset)");
+  }
 }
 
 TEST_F(TlsFixture, RecordOpCountFormulaMatchesRealRecords) {
