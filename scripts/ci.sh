@@ -28,10 +28,11 @@
 #   scripts/ci.sh digest-parity # bit-identity matrix: kernel_parity
 #                             # under both crypto backends, then the
 #                             # scaling bench's per-case digests at 1 and
-#                             # 2 shard workers, with the scalar crypto
-#                             # backend, and with SHIELD5G_BUS_FASTPATH
-#                             # forced off, each diffed byte-for-byte
+#                             # 2 shard workers and with the scalar
+#                             # crypto backend, each diffed byte-for-byte
 #                             # against the default sequential reference
+#                             # (co-located fast path on vs off is the
+#                             # tier-1 Determinism suite's job)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -145,8 +146,8 @@ case "$stage" in
     SHIELD5G_CRYPTO_BACKEND=accel "$build/tests/kernel_parity_test"
     # Every wall-clock-only choice must be invisible in virtual time:
     # per-case digests (trace hashes, counters, latency sample bit
-    # patterns) byte-equal across shard worker counts, crypto backends
-    # and the co-located fast path. The binary already fails on a
+    # patterns) byte-equal across shard worker counts and crypto
+    # backends. The binary already fails on a
     # worker-count divergence; the cmp below re-proves it from the
     # emitted artifacts, so a bug in its own comparison cannot mask a
     # determinism break.
@@ -161,7 +162,6 @@ case "$stage" in
       "$build/BENCH_scaling_default.json"
     grep -q '"deterministic":true' "$build/BENCH_scaling_default.json"
     SHIELD5G_CRYPTO_BACKEND=scalar run_scaling scalar 1
-    SHIELD5G_BUS_FASTPATH=off run_scaling fastpath_off 1
     for f in "$digests"_*.txt; do
       cmp "${digests}_default_seq.txt" "$f"
     done

@@ -1,12 +1,7 @@
 #include "common/hot_stage.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
-
-#include "common/thread_annotations.h"
-#include <vector>
 
 namespace shield5g {
 
@@ -14,52 +9,9 @@ namespace {
 
 std::atomic<bool> g_enabled{false};
 
-// Per-thread accumulators. Only the owning thread writes its buckets
-// (plain stores through an atomic so concurrent aggregation reads are
-// race-free); the registry tracks every live thread's buckets and folds
-// a thread's totals into `retired` when it exits. Heap-allocated and
-// never freed: thread-exit destructors may run after static teardown.
-struct ThreadBuckets {
-  std::array<std::atomic<std::uint64_t>, kHotStageCount> ns{};
-};
-
-struct Registry {
-  std::mutex mutex;
-  std::vector<ThreadBuckets*> live SHIELD_GUARDED_BY(mutex);
-  // Atomic: snapshot readers fold these lock-free; the retiring
-  // thread's fetch_add still runs under the mutex.
-  std::array<std::atomic<std::uint64_t>, kHotStageCount> retired
-      SHIELD_GUARDED_BY(mutex){};
-};
-
-Registry& registry() {
-  static Registry* r = new Registry;
-  return *r;
-}
-
-struct ThreadSlot {
-  ThreadBuckets buckets;
-
-  ThreadSlot() {
-    Registry& reg = registry();
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.live.push_back(&buckets);
-  }
-  ~ThreadSlot() {
-    Registry& reg = registry();
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    for (int i = 0; i < kHotStageCount; ++i) {
-      reg.retired[i].fetch_add(buckets.ns[i].load(std::memory_order_relaxed),
-                               std::memory_order_relaxed);
-    }
-    std::erase(reg.live, &buckets);
-  }
-};
-
-ThreadBuckets& local_buckets() {
-  thread_local ThreadSlot slot;
-  return slot.buckets;
-}
+// The calling thread's buckets: only the owning thread reads or writes
+// them, so plain integers suffice.
+thread_local std::array<std::uint64_t, kHotStageCount> t_buckets{};
 
 thread_local ScopedStage* t_current = nullptr;
 
@@ -81,43 +33,8 @@ void set_enabled(bool on) noexcept {
 
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 
-void reset() noexcept {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (auto& t : reg.retired) t.store(0, std::memory_order_relaxed);
-  for (ThreadBuckets* buckets : reg.live) {
-    for (auto& t : buckets->ns) t.store(0, std::memory_order_relaxed);
-  }
-}
-
-std::uint64_t total_ns(HotStage stage) noexcept {
-  Registry& reg = registry();
-  const int i = static_cast<int>(stage);
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  std::uint64_t total = reg.retired[i].load(std::memory_order_relaxed);
-  for (const ThreadBuckets* buckets : reg.live) {
-    total += buckets->ns[i].load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 std::array<std::uint64_t, kHotStageCount> thread_snapshot() noexcept {
-  const ThreadBuckets& buckets = local_buckets();
-  std::array<std::uint64_t, kHotStageCount> out{};
-  for (int i = 0; i < kHotStageCount; ++i) {
-    out[i] = buckets.ns[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-const char* name(HotStage stage) noexcept {
-  switch (stage) {
-    case HotStage::kCrypto: return "crypto";
-    case HotStage::kCodec: return "codec";
-    case HotStage::kBus: return "bus";
-    case HotStage::kScheduler: return "scheduler";
-  }
-  return "unknown";
+  return t_buckets;
 }
 
 }  // namespace hot_stage
@@ -135,12 +52,7 @@ ScopedStage::~ScopedStage() {
   if (!active_) return;
   const std::uint64_t elapsed = now_ns() - start_ns_;
   const std::uint64_t own = elapsed > child_ns_ ? elapsed - child_ns_ : 0;
-  // Single-writer: only this thread touches its bucket, so a plain
-  // load/store pair (no RMW) is enough; aggregation reads race-free
-  // through the atomic.
-  auto& bucket = local_buckets().ns[static_cast<int>(stage_)];
-  bucket.store(bucket.load(std::memory_order_relaxed) + own,
-               std::memory_order_relaxed);
+  t_buckets[static_cast<int>(stage_)] += own;
   if (parent_ != nullptr) parent_->child_ns_ += elapsed;
   t_current = parent_;
 }

@@ -11,13 +11,11 @@
 // Collection is off by default and costs one relaxed atomic load per
 // probe when disabled, so instrumented production paths (TLS records,
 // JSON codecs, the bus pipeline) pay nothing measurable outside the
-// bench harness. Accumulators are *thread-local* buckets behind a
-// process-wide registry: each shard worker of a parallel sweep charges
-// its own cache line (no cross-core bouncing on the probe path), while
-// total_ns() aggregates every live thread plus the folded totals of
-// exited ones. thread_snapshot() reads the calling thread's buckets
-// alone, which is how the sweep runner attributes stage time to one
-// shard even when eight shards time stages concurrently.
+// bench harness. The buckets are thread-local and only their own thread
+// reads them: each shard worker of a parallel sweep charges its own
+// (no cross-core bouncing on the probe path), and thread_snapshot() is
+// how the sweep runner attributes stage time to one shard even when
+// eight shards time stages concurrently.
 #pragma once
 
 #include <array>
@@ -39,22 +37,10 @@ namespace hot_stage {
 void set_enabled(bool on) noexcept;
 bool enabled() noexcept;
 
-/// Zeroes every bucket — live threads' and retired totals alike. Call
-/// only while no probe is mid-flight on another thread (benches reset
-/// between quiescent runs).
-void reset() noexcept;
-
-/// Accumulated exclusive nanoseconds for one bucket, aggregated across
-/// every thread that ever timed a stage.
-std::uint64_t total_ns(HotStage stage) noexcept;
-
 /// The calling thread's own accumulated buckets. Two snapshots bracket
 /// a shard's run; their difference is that shard's stage profile,
 /// uncontaminated by shards running concurrently on other workers.
 std::array<std::uint64_t, kHotStageCount> thread_snapshot() noexcept;
-
-/// Stable lowercase slug ("crypto", "codec", "bus", "scheduler").
-const char* name(HotStage stage) noexcept;
 
 }  // namespace hot_stage
 

@@ -39,7 +39,7 @@ struct SweepResult {
   /// Requests shed across all queues (the NGAP silent-drop count).
   std::uint64_t shed = 0;
   /// Co-located fast-path deliveries this case's bus performed (zero in
-  /// container/SGX modes and under SHIELD5G_BUS_FASTPATH=off). Excluded
+  /// container/SGX modes and with Bus::set_fastpath(false)). Excluded
   /// from case_digest — the digest must match fast path on vs off.
   std::uint64_t fastpath_hits = 0;
   /// Host milliseconds inside LoadGenerator::run for this case (slice

@@ -1,7 +1,5 @@
 #include "net/bus.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/hot_stage.h"
@@ -10,16 +8,6 @@
 namespace shield5g::net {
 
 namespace {
-
-// SHIELD5G_BUS_FASTPATH=off|0 forces every hop onto the legacy wire
-// path (the bit-identity oracle); anything else leaves co-located
-// delivery armed. Read per Bus construction so tests and CI stages can
-// flip it between runs in one process.
-bool fastpath_default() {
-  const char* env = std::getenv("SHIELD5G_BUS_FASTPATH");
-  if (env == nullptr) return true;
-  return std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0;
-}
 
 // Synthetic record pass: bump the thread's primitive counters by
 // exactly what one protect/unprotect of `plaintext_len` bytes would
@@ -67,10 +55,10 @@ void Server::reset_stats() {
   queue_.reset();
 }
 
-Server::ServeResult Server::serve_record(PooledBuffer record_in,
-                                         TlsSession& session,
-                                         sim::VirtualClock& clock,
-                                         Rng& jitter) {
+Server::ServeResult Server::serve(PooledBuffer record_in,
+                                  const HttpRequest* colocated,
+                                  std::size_t in_wire, TlsSession& session,
+                                  sim::VirtualClock& clock, Rng& jitter) {
   ServeResult result;
   if (served_ == 0) env_->on_first_request();
   env_->on_request(served_);
@@ -82,20 +70,26 @@ Server::ServeResult Server::serve_record(PooledBuffer record_in,
 
   const sim::Nanos lt_start = clock.now();
 
-  // Receive the protected request.
-  const std::size_t in_bytes = record_in.size();
+  // Receive the request. Record pass: decrypt in place and parse views
+  // over the plaintext, which stays alive (and untouched) until the
+  // handler returns — or, co-located, charge the pass and view the
+  // caller's message, alive just as long.
   for (std::uint32_t i = 0; i < profile_.recv_chunks; ++i) {
-    env_->syscall(Sys::kRecv, in_bytes / profile_.recv_chunks);
+    env_->syscall(Sys::kRecv, in_wire / profile_.recv_chunks);
   }
-  crypto::OpMeter tls_in;
-  const bool opened = session.unprotect_in_place(record_in);
-  env_->compute(costs_->tls_record_fixed + tls_in.ns(costs_->primitives));
-  if (!opened) return result;
-
-  // Zero-copy parse: path/headers/body alias the decrypted record,
-  // which stays alive (and untouched) until the handler returns.
-  const auto request = RequestView::parse(record_in.view());
-  env_->compute(costs_->http_parse_ns(record_in.size()));
+  const std::size_t in_plain = in_wire - TlsSession::kRecordOverhead;
+  std::optional<RequestView> request;
+  if (colocated != nullptr) {
+    env_->compute(charge_record_ops(*costs_, in_plain));
+    request = request_view_of(*colocated);
+  } else {
+    crypto::OpMeter tls_in;
+    const bool opened = session.unprotect_in_place(record_in);
+    env_->compute(costs_->tls_record_fixed + tls_in.ns(costs_->primitives));
+    if (!opened) return result;
+    request = RequestView::parse(record_in.view());
+  }
+  env_->compute(costs_->http_parse_ns(in_plain));
   if (!request) return result;
 
   // ---- L_F window: the AKA function itself -------------------------
@@ -111,93 +105,24 @@ Server::ServeResult Server::serve_record(PooledBuffer record_in,
   env_->compute(costs_->json_dump_ns(response.body.size()));
   result.l_f = clock.now() - lf_start;
 
-  // Serialize straight into a pooled record (TLS headroom reserved),
-  // protect in place, send.
-  const std::size_t out_size = response.serialized_size();
-  PooledBuffer wire = BufferPool::local().acquire(
-      TlsSession::kRecordOverhead + out_size, TlsSession::kRecordHeader);
-  response.serialize_into(wire);
-  env_->compute(costs_->http_ser_ns(wire.size()));
-  crypto::OpMeter tls_out;
-  session.protect_in_place(wire);
-  result.record_out = std::move(wire);
-  env_->compute(costs_->tls_record_fixed + tls_out.ns(costs_->primitives));
-  for (std::uint32_t i = 0; i < profile_.send_chunks; ++i) {
-    env_->syscall(Sys::kSend, result.record_out.size() / profile_.send_chunks);
-  }
-  result.l_t = clock.now() - lt_start;
-  result.ok = true;
-
-  ++served_;
-  lf_us_.add(sim::to_us(result.l_f));
-  lt_us_.add(sim::to_us(result.l_t));
-  return result;
-}
-
-Server::DirectServeResult Server::serve_direct(const HttpRequest& req,
-                                               std::size_t record_in_size,
-                                               TlsSession& session,
-                                               sim::VirtualClock& clock,
-                                               Rng& jitter) {
-  // Mirror of serve_record, charge for charge: the request arrives as
-  // the in-memory message instead of a protected record, so the TLS and
-  // parse work is charged synthetically from the sizes the record would
-  // have had. Any drift between the two pipelines is a parity bug —
-  // tests/net_test diffs their env charges and op counts directly.
-  DirectServeResult result;
-  if (served_ == 0) env_->on_first_request();
-  env_->on_request(served_);
-
-  for (const auto& [sys, bytes] : profile_.pre_window) {
-    env_->syscall(sys, bytes);
-  }
-
-  const sim::Nanos lt_start = clock.now();
-
-  for (std::uint32_t i = 0; i < profile_.recv_chunks; ++i) {
-    env_->syscall(Sys::kRecv, record_in_size / profile_.recv_chunks);
-  }
-  const std::size_t in_plain = record_in_size - TlsSession::kRecordOverhead;
-  env_->compute(charge_record_ops(*costs_, in_plain));
-
-  // The view a wire round trip would have produced, aliasing the
-  // caller's message (alive until the handler returns).
-  const RequestView request = request_view_of(req);
-  env_->compute(costs_->http_parse_ns(in_plain));
-
-  // ---- L_F window: the AKA function itself -------------------------
-  const sim::Nanos lf_start = clock.now();
-  env_->compute(costs_->json_parse_ns(request.body.size()));
-  crypto::OpMeter handler_ops;
-  HttpResponse response = router_.route(request);
-  const auto handler_fixed = static_cast<sim::Nanos>(
-      static_cast<double>(costs_->handler_fixed_ns) *
-      jitter.lognormal(1.0, costs_->jitter_sigma));
-  env_->compute(handler_fixed + handler_ops.ns(costs_->primitives));
-  env_->alloc_pages(profile_.alloc_pages);
-  env_->compute(costs_->json_dump_ns(response.body.size()));
-  result.l_f = clock.now() - lf_start;
-
-  const std::size_t out_size = response.serialized_size();
-  result.record_out_size = TlsSession::kRecordOverhead + out_size;
-  if (wire_transparent(response)) {
-    env_->compute(costs_->http_ser_ns(out_size));
-    env_->compute(charge_record_ops(*costs_, out_size));
+  // Record pass: serialize straight into a pooled record (TLS headroom
+  // reserved) and protect it in place — or, co-located, hand the
+  // response back and charge the pass. A response that would not
+  // survive serialize -> parse losslessly always takes a real record,
+  // so the client observes the parsed form the wire delivers.
+  const std::size_t out_plain = response.serialized_size();
+  result.record_out_size = TlsSession::kRecordOverhead + out_plain;
+  env_->compute(costs_->http_ser_ns(out_plain));
+  if (colocated != nullptr && wire_transparent(response)) {
+    env_->compute(charge_record_ops(*costs_, out_plain));
     result.response = std::move(response);
   } else {
-    // The response would not survive serialize -> parse losslessly, so
-    // the client must observe the parsed form — protect a real record
-    // and let the caller run the legacy receive path over it. Charges
-    // are the wire path's own from here on.
-    PooledBuffer wire = BufferPool::local().acquire(
-        TlsSession::kRecordOverhead + out_size, TlsSession::kRecordHeader);
-    response.serialize_into(wire);
-    env_->compute(costs_->http_ser_ns(wire.size()));
+    result.record_out = BufferPool::local().acquire(result.record_out_size,
+                                                    TlsSession::kRecordHeader);
+    response.serialize_into(result.record_out);
     crypto::OpMeter tls_out;
-    session.protect_in_place(wire);
-    result.record_out = std::move(wire);
+    session.protect_in_place(result.record_out);
     env_->compute(costs_->tls_record_fixed + tls_out.ns(costs_->primitives));
-    result.fell_back = true;
   }
   for (std::uint32_t i = 0; i < profile_.send_chunks; ++i) {
     env_->syscall(Sys::kSend, result.record_out_size / profile_.send_chunks);
@@ -213,7 +138,7 @@ Server::DirectServeResult Server::serve_direct(const HttpRequest& req,
 
 Bus::Bus(sim::VirtualClock& clock, NetCosts costs, std::uint64_t seed)
     : clock_(clock), costs_(costs), rng_(seed),
-      fastpath_(fastpath_default()), ambient_client_(clock) {}
+      ambient_client_(clock) {}
 
 std::uint32_t Bus::intern(std::string_view name) {
   const auto it = ids_.find(name);
@@ -439,6 +364,12 @@ Bus::Exchange Bus::request(std::string_view from, std::string_view to,
 
   Exchange exchange;
   const sim::Nanos start = clock_.now();
+  // Ends the exchange early with an HTTP-level error response.
+  const auto fail = [&](int status, std::string_view detail) {
+    exchange.response = HttpResponse::error(status, detail);
+    exchange.response_ns = clock_.now() - start;
+    return std::move(exchange);
+  };
 
   client.compute(static_cast<sim::Nanos>(
       static_cast<double>(costs_.client_fixed_ns) * jitter()));
@@ -470,116 +401,40 @@ Bus::Exchange Bus::request(std::string_view from, std::string_view to,
     conn = &one_shot;
   }
 
-  if (fastpath_eligible(from, target, req)) {
-    // ---- Co-located delivery (DESIGN.md §18) -----------------------
-    // Client and server share one address space and trust domain: the
-    // request crosses as the in-memory message and no record bytes
-    // exist. Everything the wire path charges — virtual time, op
-    // counts, syscalls, RNG draws — is replayed below in the same
-    // order from the same sizes, so virtual-time results and sweep
-    // digests are byte-identical to the wire path (the wire-parity CI
-    // stage holds this at 1/2/4/8 workers). The handshake above ran
-    // for real either way; only per-request record work is elided.
-    const std::size_t in_plain = req.serialized_size();
-    const std::size_t in_wire = TlsSession::kRecordOverhead + in_plain;
-    client.compute(costs_.http_ser_ns(in_plain));
+  // Co-located delivery (DESIGN.md §18): client and server share one
+  // address space and trust domain, so the request crosses as the
+  // in-memory message and no record bytes exist. The exchange differs
+  // from the wire only at its four record passes, each charged from
+  // the size its record would have had; every other charge, syscall
+  // and RNG draw below is shared, so virtual time and digests cannot
+  // tell the two apart. The handshake above ran for real either way.
+  const bool colocated = fastpath_eligible(from, target, req);
+
+  // Client: serialize into a pooled record with TLS headroom and
+  // protect in place (the payload is written once and encrypted where
+  // it sits) — or charge that pass — then send.
+  const std::size_t in_plain = req.serialized_size();
+  const std::size_t in_wire = TlsSession::kRecordOverhead + in_plain;
+  PooledBuffer record;
+  client.compute(costs_.http_ser_ns(in_plain));
+  if (colocated) {
     client.compute(charge_record_ops(costs_, in_plain));
-    client.syscall(Sys::kSend, in_wire);
-    clock_.advance(bridge_ns(in_wire));
-
-    const sim::Nanos arrival = clock_.now();
-    const ServiceQueue::Admission adm = server.queue().admit(arrival);
-    if (!adm.accepted) {
-      if (!keep_alive_) {
-        client.syscall(Sys::kClose);
-        server.env().syscall(Sys::kClose);
-      }
-      exchange.response =
-          HttpResponse::error(503, "server saturated: queue full");
-      exchange.transport_ok = true;  // clean HTTP-level rejection
-      exchange.response_ns = clock_.now() - start;
-      return exchange;
-    }
-    exchange.queue_ns = adm.start - arrival;
-    if (exchange.queue_ns > 0) clock_.advance(exchange.queue_ns);
-
-    auto served =
-        server.serve_direct(req, in_wire, *conn->server, clock_, rng_);
-    server.queue().complete(adm.worker, clock_.now());
-    exchange.l_f = served.l_f;
-    exchange.l_t = served.l_t;
-    if (!served.ok) {
-      exchange.response = HttpResponse::error(500, "server pipeline failure");
-      exchange.response_ns = clock_.now() - start;
-      return exchange;
-    }
-    ++fastpath_hits_;
-    counter_add("bus.fastpath.hit");
-
-    clock_.advance(bridge_ns(served.record_out_size));
-    client.syscall(Sys::kRecv, served.record_out_size);
-    if (served.fell_back) {
-      // The handler's response was not wire-transparent: a genuinely
-      // protected record came back, so the client must run the legacy
-      // receive path over it (the parsed form is what it observes).
-      counter_add("bus.fastpath.fallback");
-      crypto::OpMeter client_tls_in;
-      const bool resp_open =
-          conn->client->unprotect_in_place(served.record_out);
-      client.compute(costs_.tls_record_fixed +
-                     client_tls_in.ns(costs_.primitives));
-      if (!resp_open) {
-        exchange.response = HttpResponse::error(500, "record verify failed");
-        exchange.response_ns = clock_.now() - start;
-        return exchange;
-      }
-      const auto response = ResponseView::parse(served.record_out.view());
-      client.compute(costs_.http_parse_ns(served.record_out.size()));
-      if (!response) {
-        exchange.response = HttpResponse::error(500, "malformed response");
-        exchange.response_ns = clock_.now() - start;
-        return exchange;
-      }
-      if (!keep_alive_) {
-        client.syscall(Sys::kClose);
-        server.env().syscall(Sys::kClose);
-      }
-      exchange.response = HttpResponse::materialize(*response);
-      exchange.transport_ok = true;
-      exchange.response_ns = clock_.now() - start;
-      return exchange;
-    }
-    const std::size_t out_plain =
-        served.record_out_size - TlsSession::kRecordOverhead;
-    client.compute(charge_record_ops(costs_, out_plain));
-    client.compute(costs_.http_parse_ns(out_plain));
-    if (!keep_alive_) {
-      client.syscall(Sys::kClose);
-      server.env().syscall(Sys::kClose);
-    }
-    exchange.response = std::move(served.response);
-    exchange.transport_ok = true;
-    exchange.response_ns = clock_.now() - start;
-    return exchange;
+  } else {
+    record = BufferPool::local().acquire(in_wire, TlsSession::kRecordHeader);
+    req.serialize_into(record);
+    crypto::OpMeter client_tls;
+    conn->client->protect_in_place(record);
+    client.compute(costs_.tls_record_fixed + client_tls.ns(costs_.primitives));
   }
-
-  // Client: serialize into a pooled record with TLS headroom, protect
-  // in place, send. The payload is written exactly once and encrypted
-  // where it sits.
-  PooledBuffer record = BufferPool::local().acquire(
-      TlsSession::kRecordOverhead + req.serialized_size(), TlsSession::kRecordHeader);
-  req.serialize_into(record);
-  client.compute(costs_.http_ser_ns(record.size()));
-  crypto::OpMeter client_tls;
-  conn->client->protect_in_place(record);
-  client.compute(costs_.tls_record_fixed + client_tls.ns(costs_.primitives));
-  client.syscall(Sys::kSend, record.size());
+  client.syscall(Sys::kSend, in_wire);
+  // Eligibility requires both fault probabilities to be zero, so the
+  // fault checks never draw RNG (or touch a record) co-located.
   if (faults_.corrupt_record_prob > 0 &&
       rng_.uniform01() < faults_.corrupt_record_prob) {
     record.data()[rng_.uniform(record.size())] ^= 0x01;  // bit flip in flight
     ++faults_injected_;
   }
-  clock_.advance(bridge_ns(record.size()));
+  clock_.advance(bridge_ns(in_wire));
 
   // Admission: the request waits in the server's bounded FIFO until a
   // worker frees up. The wait is real virtual time — it is what turns
@@ -591,63 +446,62 @@ Bus::Exchange Bus::request(std::string_view from, std::string_view to,
       client.syscall(Sys::kClose);
       server.env().syscall(Sys::kClose);
     }
-    exchange.response = HttpResponse::error(503, "server saturated: queue full");
     exchange.transport_ok = true;  // clean HTTP-level rejection
-    exchange.response_ns = clock_.now() - start;
-    return exchange;
+    return fail(503, "server saturated: queue full");
   }
   exchange.queue_ns = adm.start - arrival;
   if (exchange.queue_ns > 0) clock_.advance(exchange.queue_ns);
 
   // Server pipeline; the request record moves in, the response record
   // moves out — no copies cross the bridge.
-  auto served =
-      server.serve_record(std::move(record), *conn->server, clock_, rng_);
+  auto served = server.serve(std::move(record), colocated ? &req : nullptr,
+                             in_wire, *conn->server, clock_, rng_);
   server.queue().complete(adm.worker, clock_.now());
   exchange.l_f = served.l_f;
   exchange.l_t = served.l_t;
-  if (!served.ok) {
-    exchange.response = HttpResponse::error(500, "server pipeline failure");
-    exchange.response_ns = clock_.now() - start;
-    return exchange;
+  if (!served.ok) return fail(500, "server pipeline failure");
+  if (colocated) {
+    // A response-leg fallback counts as a hit too: the request leg was
+    // still zero-wire.
+    ++fastpath_hits_;
+    counter_add("bus.fastpath.hit");
   }
 
-  // Response back over the bridge; client receive path (decrypt in
-  // place, parse views, materialize the owning response once at the
-  // API boundary).
+  // Response back over the bridge; client receive path.
   if (faults_.drop_response_prob > 0 &&
       rng_.uniform01() < faults_.drop_response_prob) {
     ++faults_injected_;
     clock_.advance(faults_.retransmit_timeout);
-    exchange.response = HttpResponse::error(504, "response lost in transit");
-    exchange.response_ns = clock_.now() - start;
-    return exchange;
+    return fail(504, "response lost in transit");
   }
-  clock_.advance(bridge_ns(served.record_out.size()));
-  client.syscall(Sys::kRecv, served.record_out.size());
-  crypto::OpMeter client_tls_in;
-  const bool resp_open = conn->client->unprotect_in_place(served.record_out);
-  client.compute(costs_.tls_record_fixed +
-                 client_tls_in.ns(costs_.primitives));
-  if (!resp_open) {
-    exchange.response = HttpResponse::error(500, "record verify failed");
-    exchange.response_ns = clock_.now() - start;
-    return exchange;
-  }
-  const auto response = ResponseView::parse(served.record_out.view());
-  client.compute(costs_.http_parse_ns(served.record_out.size()));
-  if (!response) {
-    exchange.response = HttpResponse::error(500, "malformed response");
-    exchange.response_ns = clock_.now() - start;
-    return exchange;
+  clock_.advance(bridge_ns(served.record_out_size));
+  client.syscall(Sys::kRecv, served.record_out_size);
+  if (served.record_out) {
+    // A real record: decrypt in place, parse views, materialize the
+    // owning response once at the API boundary. Co-located, this is the
+    // fallback for a response that was not wire-transparent.
+    if (colocated) counter_add("bus.fastpath.fallback");
+    crypto::OpMeter client_tls_in;
+    const bool resp_open = conn->client->unprotect_in_place(served.record_out);
+    client.compute(costs_.tls_record_fixed +
+                   client_tls_in.ns(costs_.primitives));
+    if (!resp_open) return fail(500, "record verify failed");
+    const auto response = ResponseView::parse(served.record_out.view());
+    client.compute(costs_.http_parse_ns(served.record_out.size()));
+    if (!response) return fail(500, "malformed response");
+    exchange.response = HttpResponse::materialize(*response);
+  } else {
+    const std::size_t out_plain =
+        served.record_out_size - TlsSession::kRecordOverhead;
+    client.compute(charge_record_ops(costs_, out_plain));
+    client.compute(costs_.http_parse_ns(out_plain));
+    exchange.response = std::move(served.response);
   }
 
   if (!keep_alive_) {
     client.syscall(Sys::kClose);
     server.env().syscall(Sys::kClose);
   }
-
-  exchange.response = HttpResponse::materialize(*response);
   exchange.transport_ok = true;
   exchange.response_ns = clock_.now() - start;
   return exchange;

@@ -1,11 +1,12 @@
 // The simulated Docker bridge: servers, connections and request routing.
 //
 // Services attach to the bus by name (the OAI docker-compose service
-// names). A request crosses the bridge as real TLS-protected wire bytes;
-// the bus charges client-side costs, bridge latency, and drives the
-// server's request pipeline, which charges its own environment
-// (container or SGX). The pipeline measures exactly the quantities the
-// paper reports:
+// names). A request crosses the bridge as real TLS-protected wire bytes
+// (between co-located NFs, as the message itself with the record work
+// charged instead of run); the bus charges client-side costs, bridge
+// latency, and drives the server's request pipeline, which charges its
+// own environment (container or SGX). The pipeline measures exactly the
+// quantities the paper reports:
 //   L_F  — execution time of the AKA function (JSON + crypto + handler),
 //   L_T  — request-received .. response-sent inside the module,
 //   R    — response time observed by the calling VNF.
@@ -120,51 +121,33 @@ class Server {
   void rebind_env(ExecutionEnv& env) noexcept { env_ = &env; }
 
   struct ServeResult {
-    PooledBuffer record_out;  // TLS-protected response
-    sim::Nanos l_f = 0;
-    sim::Nanos l_t = 0;
-    bool ok = false;
-  };
-
-  /// Runs the full server-side pipeline for one protected request. The
-  /// record buffer is consumed: it is decrypted in place, the parsed
-  /// request views alias it while the handler runs, and its slab goes
-  /// back to the thread's pool on return. The response comes back as a
-  /// pooled record the same way.
-  ServeResult serve_record(PooledBuffer record_in, TlsSession& session,
-                           sim::VirtualClock& clock, Rng& jitter);
-
-  struct DirectServeResult {
-    /// The handler's response, handed across without a wire round trip
-    /// (engaged unless fell_back).
-    HttpResponse response;
-    /// Wire size the response record would have had (charges and
-    /// syscall byte counts on the client side derive from it).
-    std::size_t record_out_size = 0;
-    /// Engaged only when the response was not wire-transparent: the
-    /// real protected record, to be carried through the legacy client
-    /// receive path.
+    /// The TLS-protected response; empty when the response was handed
+    /// back co-located instead.
     PooledBuffer record_out;
+    /// The handler's response, engaged only when handed back co-located.
+    HttpResponse response;
+    /// Wire size of the response record, real or skipped (the client's
+    /// charges and syscall byte counts derive from it).
+    std::size_t record_out_size = 0;
     sim::Nanos l_f = 0;
     sim::Nanos l_t = 0;
     bool ok = false;
-    bool fell_back = false;
   };
 
-  /// Co-located variant of serve_record (DESIGN.md §18): the request is
-  /// handed across as the in-memory message, no record bytes exist, yet
-  /// every virtual-time charge, op count, syscall and RNG draw of the
-  /// wire pipeline is replayed exactly — `record_in_size` (the wire
-  /// size the request record would have had) drives the recv charges
-  /// and the synthetic TLS op counts. `session` is the real server-side
-  /// session of the connection (the handshake always runs for real);
-  /// it is only used when the handler's response turns out not to be
-  /// wire-transparent, in which case the response leg falls back to a
-  /// genuinely protected record. Pre: wire_transparent(req).
-  DirectServeResult serve_direct(const HttpRequest& req,
-                                 std::size_t record_in_size,
-                                 TlsSession& session,
-                                 sim::VirtualClock& clock, Rng& jitter);
+  /// Runs the server-side pipeline for one request whose record is
+  /// `in_wire` bytes. On the wire, `record_in` is that protected record
+  /// and `colocated` is null: the record is decrypted in place, the
+  /// parsed request views alias it while the handler runs, its slab
+  /// goes back to the thread's pool on return, and the response comes
+  /// back as a pooled record the same way. Co-located (DESIGN.md §18),
+  /// `colocated` is the caller's message and `record_in` is empty: the
+  /// record passes are charged instead of run, and a wire-transparent
+  /// response is handed back as-is. Every other charge, syscall and RNG
+  /// draw is the same either way. Pre: colocated is null or
+  /// wire_transparent(*colocated).
+  ServeResult serve(PooledBuffer record_in, const HttpRequest* colocated,
+                    std::size_t in_wire, TlsSession& session,
+                    sim::VirtualClock& clock, Rng& jitter);
 
   /// Latency samples in microseconds, accumulated per request.
   Samples& lf_us() noexcept { return lf_us_; }
@@ -210,14 +193,12 @@ class Bus {
     attach_domain_ = domain;
   }
 
-  /// Co-located delivery fast path: on by default, forced off by
-  /// SHIELD5G_BUS_FASTPATH=off|0 (read at Bus construction) or this
-  /// setter (parity tests toggle it per-bus). Only ever taken between
-  /// two attached endpoints of the same non-isolated trust domain with
-  /// fault injection disabled; virtual time, op counts and digests are
-  /// byte-identical either way — the wire path is the oracle.
+  /// Co-located delivery fast path: on by default; parity tests turn it
+  /// off per bus, because the wire path is the oracle. Only ever taken
+  /// between two attached endpoints of the same non-isolated trust
+  /// domain with fault injection disabled; virtual time, op counts and
+  /// digests are byte-identical either way.
   void set_fastpath(bool enabled) noexcept { fastpath_ = enabled; }
-  bool fastpath() const noexcept { return fastpath_; }
   /// Requests this bus delivered co-located (also counted globally as
   /// bus.fastpath.hit); response-leg fallbacks count as hits too — the
   /// request leg was still zero-wire.

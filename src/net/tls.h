@@ -180,7 +180,7 @@ class TlsSession {
   static std::optional<Bytes> hello_ticket(ByteView server_hello);
 
   /// Protects one application message into a record
-  /// (5-byte header || ciphertext || 16-byte MAC).
+  /// (6-byte header || ciphertext || 16-byte MAC).
   Bytes protect(ByteView plaintext);
 
   /// Verifies and decrypts one record from the peer.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "crypto/cpu_dispatch.h"
@@ -44,6 +45,8 @@ void expect_identical(const load::LoadReport& a, const load::LoadReport& b) {
   EXPECT_EQ(a.registered, b.registered);
   EXPECT_EQ(a.sessions_up, b.sessions_up);
   EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.failed_shed, b.failed_shed);
+  EXPECT_EQ(a.failed_error, b.failed_error);
   EXPECT_EQ(a.makespan, b.makespan);
   // Bit-identical, not approximately equal: the virtual-time engine has
   // no tolerance to hide behind.
@@ -285,6 +288,103 @@ TEST(Determinism, PoolAloneReplaysBitIdentically) {
   const std::vector<load::SweepResult> a = load::run_sweep(cases, 1);
   const std::vector<load::SweepResult> b = load::run_sweep(cases, 4);
   expect_sweeps_identical(a, b, "pool-only workers=4");
+}
+
+// ---- Co-located fast path (DESIGN.md §18) ------------------------------
+
+// The monolithic cases of `shard_scaling --smoke` (three SBI policies x
+// two rates x two seeds, 40 UEs), none of which sheds, plus one
+// resume+pool case whose 4-deep VNF queues make the AMF shed UEs at
+// NGAP ingress. (SBI-level sheds never occur in these runs: the AMF's
+// own queue bounds what reaches the servers behind it, so the
+// co-located 503 is FastpathParity.ShedRequestIsByteIdentical's job.)
+std::vector<load::SweepCase> monolithic_smoke_cases() {
+  struct Policy {
+    const char* tag;
+    bool pool;
+    bool burst;
+  };
+  const Policy policies[] = {{"legacy", false, false},
+                             {"resume+pool", true, false},
+                             {"resume+pool burst=8", true, true}};
+  std::vector<load::SweepCase> cases;
+  for (const Policy& policy : policies) {
+    for (const double rate : {200.0, 1600.0}) {
+      for (std::uint64_t seed = 0; seed < 2; ++seed) {
+        load::SweepCase c;
+        c.label = std::string(policy.tag) + " rate=" +
+                  std::to_string(static_cast<int>(rate)) +
+                  " seed=" + std::to_string(seed);
+        c.slice.mode = slice::IsolationMode::kMonolithic;
+        c.slice.subscriber_count = 40;
+        c.slice.seed = 0x5CA1EULL + seed;
+        c.slice.tls_resumption = policy.pool;
+        c.slice.eph_pool = policy.pool;
+        c.load.ue_count = 40;
+        c.load.arrivals.kind = policy.burst ? load::ArrivalKind::kBurst
+                                            : load::ArrivalKind::kPoisson;
+        c.load.arrivals.burst_size = 8;
+        c.load.arrivals.rate_per_s = rate;
+        c.load.seed = 0xD1CEULL + seed;
+        c.load.record_trace = true;
+        cases.push_back(std::move(c));
+      }
+    }
+  }
+  load::SweepCase shedding = cases[6];  // resume+pool rate=1600 seed=0
+  shedding.label += " queue=4";
+  shedding.slice.vnf_queue_capacity = 4;
+  cases.push_back(std::move(shedding));
+  return cases;
+}
+
+struct FastpathRun {
+  load::LoadReport report;
+  std::vector<load::QueueSnapshot> queues;
+  std::uint64_t hits = 0;
+};
+
+FastpathRun run_with_fastpath(const load::SweepCase& c, bool fastpath) {
+  slice::Slice slice(c.slice);
+  slice.bus().set_fastpath(fastpath);
+  slice.create();
+  FastpathRun out;
+  load::LoadGenerator generator;
+  out.report = generator.run(slice, c.load);
+  out.queues = load::queue_snapshots(slice);
+  out.hits = slice.bus().fastpath_hits();
+  return out;
+}
+
+TEST(Determinism, FastPathOnAndOffReplayBitIdentically) {
+  // The co-located fast path skips record work, nothing else: whole
+  // runs with it on (the default) must reproduce the wire path — the
+  // oracle — in every trace event, latency sample and queue counter the
+  // sweep digest folds, with and without shedding.
+  const std::vector<load::SweepCase> cases = monolithic_smoke_cases();
+  for (const load::SweepCase& c : cases) {
+    SCOPED_TRACE(c.label);
+    const FastpathRun on = run_with_fastpath(c, true);
+    const FastpathRun off = run_with_fastpath(c, false);
+    expect_identical(on.report, off.report);
+    ASSERT_EQ(on.queues.size(), off.queues.size());
+    for (std::size_t q = 0; q < on.queues.size(); ++q) {
+      const load::QueueSnapshot& a = on.queues[q];
+      const load::QueueSnapshot& b = off.queues[q];
+      EXPECT_EQ(a.server, b.server);
+      EXPECT_EQ(a.workers, b.workers) << a.server;
+      EXPECT_EQ(a.admitted, b.admitted) << a.server;
+      EXPECT_EQ(a.queued, b.queued) << a.server;
+      EXPECT_EQ(a.rejected, b.rejected) << a.server;
+      EXPECT_EQ(a.total_wait, b.total_wait) << a.server;
+    }
+    EXPECT_GT(on.hits, 0u);
+    EXPECT_EQ(off.hits, 0u);
+    EXPECT_GT(on.report.registered, 0u);
+    if (&c == &cases.back()) {
+      EXPECT_GT(on.report.failed_shed, 0u);
+    }
+  }
 }
 
 // ---- Sharded serving plane (load/serving.h) ---------------------------

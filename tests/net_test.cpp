@@ -2,7 +2,6 @@
 // the bus request pipeline and its latency accounting.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -477,6 +476,17 @@ class FastpathWorld {
     return out;
   }
 
+  /// Fills the echo server's admission queue for the next second (one
+  /// worker busy, one request waiting, room for no more), so the next
+  /// request to it is shed.
+  void saturate() {
+    ServiceQueue& queue = server_->queue();
+    queue.configure({.workers = 1, .capacity = 1});
+    queue.complete(queue.admit(clock_.now()).worker,
+                   clock_.now() + sim::kSecond);
+    (void)queue.admit(clock_.now());
+  }
+
   Bus& bus() noexcept { return bus_; }
   const std::vector<ObservedRequest>& observed() const { return observed_; }
 
@@ -589,6 +599,25 @@ TEST(FastpathParity, NonTransparentResponseFallsBackIdentically) {
   EXPECT_EQ(world_off.bus().fastpath_hits(), 0u);
 }
 
+TEST(FastpathParity, ShedRequestIsByteIdentical) {
+  // A co-located request shed at admission leaves through the wire
+  // path's 503 block: same charges up to the rejection, no handler run,
+  // and no fast-path hit.
+  std::vector<std::pair<std::string, HttpRequest>> plan{
+      {"echo", parity_request("{}")}};
+  FastpathWorld world_on(true);
+  FastpathWorld world_off(false);
+  world_on.saturate();
+  world_off.saturate();
+  const auto on = world_on.run(plan, false);
+  const auto off = world_off.run(plan, false);
+  expect_outcomes_equal(on, off);
+  ASSERT_EQ(on.exchanges.size(), 1u);
+  EXPECT_EQ(on.exchanges[0].response.status, 503);
+  EXPECT_TRUE(world_on.observed().empty());
+  EXPECT_EQ(world_on.bus().fastpath_hits(), 0u);
+}
+
 TEST(FastpathParity, IneligibleWithoutSharedDomainOrWithFaults) {
   // Isolated-domain attachments (the container/SGX layout) never take
   // the fast path even when enabled.
@@ -615,36 +644,6 @@ TEST(FastpathParity, IneligibleWithoutSharedDomainOrWithFaults) {
       {"echo", parity_request("{}")}};
   (void)faulty.run(plan, false);
   EXPECT_EQ(faulty.bus().fastpath_hits(), 0u);
-}
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, /*overwrite=*/1);
-    }
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
-TEST(FastpathParity, EnvironmentDisarmsOnlyOnOffOrZero) {
-  // SHIELD5G_BUS_FASTPATH is read per Bus construction: "off" and "0"
-  // force the legacy wire path; unset or any other value leaves
-  // co-located delivery armed, so "on" is the same run as the default.
-  const std::pair<const char*, bool> cases[] = {
-      {nullptr, true}, {"on", true}, {"1", true}, {"off", false}, {"0", false}};
-  for (const auto& [value, armed] : cases) {
-    const ScopedEnv env("SHIELD5G_BUS_FASTPATH", value);
-    sim::VirtualClock clock;
-    const Bus bus(clock);
-    EXPECT_EQ(bus.fastpath(), armed)
-        << "SHIELD5G_BUS_FASTPATH=" << (value ? value : "(unset)");
-  }
 }
 
 TEST_F(TlsFixture, RecordOpCountFormulaMatchesRealRecords) {

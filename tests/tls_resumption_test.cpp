@@ -277,7 +277,7 @@ TEST_F(ResumableFixture, ExpiredTicketFallsBackToFull) {
 }
 
 TEST_F(ResumableFixture, MalformedHellosNeverCrash) {
-  for (const Bytes hello :
+  for (const Bytes& hello :
        {Bytes{}, Bytes{0x02}, Bytes{0x02, 0xff}, Bytes(34, 0x02),
         Bytes{0x04, 0x01, 0x02}, Bytes(300, 0x02), Bytes(1, 0x01),
         Bytes(16, 0x01)}) {
