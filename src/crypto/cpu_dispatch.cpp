@@ -13,7 +13,7 @@ namespace shield5g::crypto {
 namespace {
 
 // 0 = unset, 1 = scalar, 2 = accelerated. A single relaxed atomic keeps
-// the per-call dispatch branch cheap and safe under monte_carlo's host
+// the per-call dispatch branch cheap and safe under ShardPool's host
 // threads.
 std::atomic<int> g_forced{0};
 

@@ -126,7 +126,7 @@ class Engine {
     return std::move(report_);
   }
 
-  void build_and_schedule(const std::vector<Arrival>* routed) {
+  void build_and_schedule(const std::vector<Arrival>* supplied) {
     if (!slice_.created()) {
       throw std::logic_error("LoadGenerator: slice must be created first");
     }
@@ -136,11 +136,11 @@ class Engine {
       if (server != nullptr) queues_.push_back(&server->queue());
     });
     std::vector<std::pair<std::uint32_t, sim::Nanos>> plan;
-    if (routed != nullptr) {
-      // Externally routed arrivals (the sharded serving plane): the
-      // schedule was drawn once globally; this slice replays its share.
-      plan.reserve(routed->size());
-      for (const Arrival& a : *routed) {
+    if (supplied != nullptr) {
+      // Explicit arrivals (the sharded serving plane): the schedule was
+      // drawn once globally; this slice replays its slot's share.
+      plan.reserve(supplied->size());
+      for (const Arrival& a : *supplied) {
         plan.emplace_back(a.ue, run_start_ + a.at);
       }
     } else {
@@ -268,9 +268,9 @@ void UeSession::finish() {
 namespace {
 
 LoadReport run_engine(slice::Slice& slice, const LoadConfig& config,
-                      const std::vector<Arrival>* routed) {
+                      const std::vector<Arrival>* supplied) {
   Engine engine(slice, config);
-  engine.build_and_schedule(routed);
+  engine.build_and_schedule(supplied);
   engine.drain();
   LoadReport report = engine.take_report();
   report.offered_rate_per_s = config.arrivals.rate_per_s;

@@ -66,13 +66,13 @@ struct LoadReport {
   std::string summary() const;
 };
 
-/// One externally routed arrival: subscriber index `ue` (into the
+/// One externally supplied arrival: subscriber index `ue` (into the
 /// slice's subscriber table) starts its registration `at` nanoseconds
 /// after run start. The serving plane (load/serving.h) draws ONE global
-/// arrival schedule, routes each arrival to its home shard's mailbox,
-/// and replays the shard's share through the explicit-arrival entry —
-/// so the virtual-time workload is a pure function of the routing, not
-/// of how many worker threads drained the mailboxes.
+/// arrival schedule, partitions it by home slot before any thread runs,
+/// and replays each slot's share through the explicit-arrival entry —
+/// so the virtual-time workload is a pure function of the partition,
+/// not of how many worker threads serve the slots.
 struct Arrival {
   std::uint32_t ue = 0;
   sim::Nanos at = 0;

@@ -3,28 +3,27 @@
 //
 // run_sweep (PR 4) parallelizes *independent experiments*; this runs
 // ONE experiment's live serving path on many cores. The subscriber
-// space is partitioned by SUPI hash into a fixed number of home slots
-// (kServingSlots by default). Each slot is an actor: a complete slice
-// deployment owning a disjoint share of UE/subscriber state — its own
-// columnar UDR store, UDM/AMF context tables, virtual clock, scheduler
-// and SBI bus. Nothing is shared between slots, so no lock ever guards
-// serving-path state.
+// space is partitioned by SUPI hash into kServingSlots home slots.
+// Each slot is an actor: a complete slice deployment owning a disjoint
+// share of UE/subscriber state — its own columnar UDR store, UDM/AMF
+// context tables, virtual clock, scheduler and SBI bus. Nothing is
+// shared between slots, so no lock ever guards serving-path state.
 //
 // Execution separates the *partition* (slots, fixed) from the
-// *width* (shards = worker threads, 1..slots): worker w owns slots
-// {s : s % shards == w}. The caller thread draws one global arrival
-// schedule and routes each arrival through the owning worker's
-// fixed-capacity SPSC mailbox (sim/spsc_mailbox.h); workers drain their
-// mailboxes concurrently, then run each owned slot's engine through the
-// explicit-arrival LoadGenerator entry.
+// *width* (shards = worker threads, 1..slots). The caller draws one
+// global arrival schedule and partitions it up front into one SweepCase
+// per slot (population, seeds, and the slot's arrivals in global-id
+// order); then sim::ShardPool runs one job per worker, and job w serves
+// slots {s : s % shards == w} in ascending order through run_case's
+// explicit-arrival path.
 //
 // Determinism contract (DESIGN.md §16): each slot's result is a pure
-// function of (slot seed, population, routed arrivals) — all derived
-// before any thread runs — and per-slot results merge in slot order
-// through the same case-digest machinery run_sweep uses. The merged
-// digest is therefore byte-identical at 1/2/4/8 shards and across
-// back-to-back cold starts (tests/determinism_test.cpp proves it;
-// perfbench's `serving` workload records the wall-clock cost).
+// function of (slot seed, population, arrivals) — all derived before
+// any thread runs — and per-slot results merge in slot order through
+// the same case-digest machinery run_sweep uses. The merged digest is
+// therefore byte-identical at 1/2/4/8 shards and across back-to-back
+// cold starts (tests/determinism_test.cpp proves it; perfbench's
+// `serving` workload records the wall-clock cost).
 #pragma once
 
 #include <cstdint>
@@ -44,19 +43,15 @@ inline constexpr std::uint32_t kServingSlots = 8;
 
 struct ServingConfig {
   /// Per-slot deployment template. population/subscriber_count/seed are
-  /// overridden per slot; everything else (mode, keep_alive, resumption,
-  /// vnf workers, cost models) applies to every slot.
+  /// overridden per slot; everything else (isolation mode, SBI/TLS
+  /// policy, vnf workers, cost models) applies to every slot.
   slice::SliceConfig slice;
   /// Global UE count across the whole plane (ids [0, ue_count)).
   std::uint32_t ue_count = 64;
-  /// Global arrival process; one schedule is drawn and then routed.
+  /// Global arrival process; one schedule is drawn and then partitioned.
   ArrivalConfig arrivals;
   bool with_pdu = true;
   std::uint64_t seed = 0x5e47eULL;
-  std::uint32_t slots = kServingSlots;
-  /// Per-slot mailbox capacity; a full mailbox back-pressures the
-  /// router (counted, never dropped).
-  std::uint32_t mailbox_capacity = 128;
   bool record_trace = false;
 };
 
@@ -82,16 +77,12 @@ struct ServingReport {
   /// Co-located fast-path deliveries across all slots (wall-clock-only
   /// metric; excluded from the digest).
   std::uint64_t fastpath_hits = 0;
-
-  /// Arrivals routed through mailboxes and producer back-pressure
-  /// events (mailbox momentarily full). Wall-clock only, never in the
-  /// digest.
-  std::uint64_t routed = 0;
+  /// Always 0; kept only because perfbench's load.serve.backpressure reads it.
   std::uint64_t backpressure = 0;
 };
 
 /// Home slot of a SUPI: supi_hash (the UDR's row hash) mod the slot
-/// count, so storage and routing can never disagree on ownership.
+/// count, so storage and partition can never disagree on ownership.
 std::uint32_t home_slot(std::string_view supi, std::uint32_t slots) noexcept;
 
 /// Runs the sharded serving plane. `shards` resolves like

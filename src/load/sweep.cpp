@@ -19,6 +19,8 @@ double now_ms() {
       .count();
 }
 
+}  // namespace
+
 SweepResult run_case(const SweepCase& c) {
   SweepResult out;
   out.label = c.label;
@@ -29,7 +31,9 @@ SweepResult run_case(const SweepCase& c) {
   const auto stage_before = hot_stage::thread_snapshot();
   const double t0 = now_ms();
   LoadGenerator generator;
-  out.report = generator.run(slice, c.load);
+  out.report = c.arrivals.empty()
+                   ? generator.run(slice, c.load)
+                   : generator.run(slice, c.load, c.arrivals);
   const double t1 = now_ms();
   const auto stage_after = hot_stage::thread_snapshot();
 
@@ -45,6 +49,8 @@ SweepResult run_case(const SweepCase& c) {
   BufferPool::publish_thread_stats();
   return out;
 }
+
+namespace {
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;

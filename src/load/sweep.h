@@ -29,6 +29,9 @@ struct SweepCase {
   std::string label;
   slice::SliceConfig slice;
   LoadConfig load;
+  /// Explicit arrival list (the serving plane's per-slot share). When
+  /// non-empty it replaces the schedule `load` would draw.
+  std::vector<Arrival> arrivals;
 };
 
 struct SweepResult {
@@ -50,6 +53,10 @@ struct SweepResult {
   /// hot_stage collection is enabled).
   std::array<std::uint64_t, kHotStageCount> stage_ns{};
 };
+
+/// Runs one case on the calling thread: fresh slice, one LoadGenerator
+/// run, wall time and hot-stage deltas measured here.
+SweepResult run_case(const SweepCase& c);
 
 /// Runs every case — one fresh slice each — and returns the results in
 /// case order. `workers` as in sim::shard_workers (0 = env, then

@@ -1,18 +1,15 @@
-// Monte Carlo host-thread driver (src/load/montecarlo.h): determinism
-// independent of thread count, and thread-safety of the shared mutable
-// state the shard runner exposes — the declassify audit counters, the
-// sharded stats registry, and the process-wide X25519 comb-table cache.
+// Monte Carlo seed sweeps on sim::ShardPool: determinism independent of
+// thread count, and thread-safety of the shared mutable state the shard
+// runner exposes — the declassify audit counters, the sharded stats
+// registry, and the process-wide X25519 comb-table cache.
 // This is the workload the TSan CI stage (scripts/ci.sh tsan) runs
 // under -fsanitize=thread; every test here keeps the MonteCarlo prefix
 // so that stage's -R '^MonteCarlo' filter picks it up.
-#include "load/montecarlo.h"
-
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/buffer_pool.h"
@@ -27,7 +24,7 @@
 #include "load/serving.h"
 #include "net/tls.h"
 #include "nf/subscriber_store.h"
-#include "sim/spsc_mailbox.h"
+#include "sim/shard_pool.h"
 
 namespace shield5g {
 namespace {
@@ -47,15 +44,15 @@ std::uint64_t job(std::size_t seed) {
 }
 
 TEST(MonteCarlo, ResultsIndependentOfThreadCount) {
-  const auto serial = load::monte_carlo(96, job, 1);
-  const auto parallel = load::monte_carlo(96, job, 8);
+  const auto serial = sim::ShardPool(1).map(96, job);
+  const auto parallel = sim::ShardPool(8).map(96, job);
   ASSERT_EQ(serial.size(), parallel.size());
   EXPECT_EQ(serial, parallel);
 }
 
 TEST(MonteCarlo, DeclassifyCountersAccumulateAcrossThreads) {
   counters_reset();
-  (void)load::monte_carlo(200, job, 8);
+  (void)sim::ShardPool(8).map(200, job);
   // Every job declassifies exactly once; the counter map is shared
   // mutable state across all host threads (the TSan target).
   EXPECT_EQ(counter_value("secret.declassify.transport.host"), 200u);
@@ -63,8 +60,8 @@ TEST(MonteCarlo, DeclassifyCountersAccumulateAcrossThreads) {
 }
 
 TEST(MonteCarlo, ZeroJobsAndImplicitThreadCount) {
-  EXPECT_TRUE(load::monte_carlo(0, job).empty());
-  EXPECT_EQ(load::monte_carlo(3, job).size(), 3u);
+  EXPECT_TRUE(sim::ShardPool().map(0, job).empty());
+  EXPECT_EQ(sim::ShardPool().map(3, job).size(), 3u);
 }
 
 class ForcedBackend {
@@ -116,13 +113,13 @@ TEST(MonteCarlo, SharedCombCacheIsRaceFreeAndThreadCountInvariant) {
   const std::vector<Bytes> points = comb_hammer_points();
 
   crypto::detail::x25519_cache_reset();
-  const auto serial = load::monte_carlo(
-      32, [&points](std::size_t i) { return comb_job(points, i); }, 1);
+  const auto serial = sim::ShardPool(1).map(
+      32, [&points](std::size_t i) { return comb_job(points, i); });
   const std::size_t serial_cache = crypto::detail::x25519_cache_size();
 
   crypto::detail::x25519_cache_reset();
-  const auto parallel = load::monte_carlo(
-      32, [&points](std::size_t i) { return comb_job(points, i); }, 8);
+  const auto parallel = sim::ShardPool(8).map(
+      32, [&points](std::size_t i) { return comb_job(points, i); });
   const std::size_t parallel_cache = crypto::detail::x25519_cache_size();
 
   // Same keys regardless of which thread built or reused each table.
@@ -173,13 +170,13 @@ std::uint64_t pool_job(std::size_t seed) {
 TEST(MonteCarlo, BufferPoolHammerIsRaceFreeAndThreadCountInvariant) {
   BufferPool::publish_thread_stats();  // flush stale main-thread deltas
   counters_reset();
-  const auto serial = load::monte_carlo(96, pool_job, 1);
+  const auto serial = sim::ShardPool(1).map(96, pool_job);
   const std::uint64_t serial_acquires =
       counter_value("wire.pool.hit") + counter_value("wire.pool.miss");
   const std::uint64_t serial_bytes = counter_value("wire.pool.bytes");
 
   counters_reset();
-  const auto parallel = load::monte_carlo(96, pool_job, 8);
+  const auto parallel = sim::ShardPool(8).map(96, pool_job);
   const std::uint64_t parallel_acquires =
       counter_value("wire.pool.hit") + counter_value("wire.pool.miss");
 
@@ -209,9 +206,8 @@ TEST(MonteCarlo, EphemeralPoolHammerIsRaceFreeAndThreadCountInvariant) {
   const auto hammer = [](crypto::EphemeralKeyPool& pool, unsigned threads) {
     // Commutative fold (sum of per-key folds): hand-out order differs
     // per schedule, the multiset of keys must not.
-    const auto acquired = load::monte_carlo(
-        96,
-        [&pool](std::size_t) {
+    const auto acquired =
+        sim::ShardPool(threads).map(96, [&pool](std::size_t) {
           std::uint64_t acc = 0;
           for (int i = 0; i < 5; ++i) {
             const crypto::X25519KeyPair kp = pool.acquire();
@@ -222,8 +218,7 @@ TEST(MonteCarlo, EphemeralPoolHammerIsRaceFreeAndThreadCountInvariant) {
             acc += h;
           }
           return acc;
-        },
-        threads);
+        });
     std::uint64_t sum = 0;
     for (const std::uint64_t a : acquired) sum += a;
     return sum;
@@ -258,9 +253,8 @@ TEST(MonteCarlo, TicketIssuerHammerIsRaceFreeAndSingleUseHolds) {
   // this against the same mutex the Bus uses per attachment.
   net::TicketIssuer issuer{SecretView(Bytes(32, 0x66)),
                            net::TicketIssuer::kDefaultLifetimeNs};
-  const auto verdicts = load::monte_carlo(
-      128,
-      [&issuer](std::size_t i) -> std::uint64_t {
+  const auto verdicts = sim::ShardPool(8).map(
+      128, [&issuer](std::size_t i) -> std::uint64_t {
         Rng rng(static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL + 11);
         const Secret<32> secret{ByteView(rng.bytes(32))};
         const Bytes ticket = issuer.issue(secret, /*now_ns=*/0, rng);
@@ -270,8 +264,7 @@ TEST(MonteCarlo, TicketIssuerHammerIsRaceFreeAndSingleUseHolds) {
         const bool key_match = first.has_value() && *first == secret;
         // lint-audited(ct-flow: test verdict bitmask over recovered keys; timing is not under test here)
         return (key_match ? 1u : 0u) | (replay.has_value() ? 2u : 0u);
-      },
-      8);
+      });
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
     EXPECT_EQ(verdicts[i], 1u) << "job " << i
                                << ": redeem-once/reject-replay violated";
@@ -282,14 +275,11 @@ TEST(MonteCarlo, ShardedCounterRegistryAccumulatesAcrossThreads) {
   counters_reset();
   // 24 distinct names spread across the registry's internal shards,
   // bumped from 8 threads, plus one name every thread fights over.
-  (void)load::monte_carlo(
-      96,
-      [](std::size_t i) {
-        counter_add("mc.shard." + std::to_string(i % 24));
-        counter_add("mc.contended", 3);
-        return i;
-      },
-      8);
+  (void)sim::ShardPool(8).map(96, [](std::size_t i) {
+    counter_add("mc.shard." + std::to_string(i % 24));
+    counter_add("mc.contended", 3);
+    return i;
+  });
   for (int n = 0; n < 24; ++n) {
     EXPECT_EQ(counter_value("mc.shard." + std::to_string(n)), 4u)
         << "name " << n;
@@ -303,45 +293,6 @@ TEST(MonteCarlo, ShardedCounterRegistryAccumulatesAcrossThreads) {
   }
   EXPECT_EQ(total, 96u + 96u * 3u);
   counters_reset();
-}
-
-TEST(MonteCarlo, SpscMailboxHammerIsLosslessAndOrdered) {
-  // The serving plane's routing fabric under the TSan stage: many
-  // producer/consumer pairs streaming through tiny rings concurrently.
-  // Every stream must arrive complete and in order — any missed
-  // synchronisation edge in the ring shows up here as a torn value,
-  // a duplicate, or a TSan report.
-  const auto sums = load::monte_carlo(
-      16,
-      [](std::size_t seed) {
-        sim::SpscMailbox<std::uint32_t> mb(4);
-        const std::uint32_t count = 2000 + static_cast<std::uint32_t>(seed);
-        std::uint64_t sum = 0;
-        std::uint32_t expect_next = 0;
-        bool ordered = true;
-        std::thread consumer([&] {
-          std::uint32_t v = 0;
-          while (!mb.drained()) {
-            while (mb.try_pop(v)) {
-              ordered = ordered && v == expect_next++;
-              sum += v;
-            }
-            std::this_thread::yield();
-          }
-        });
-        for (std::uint32_t i = 0; i < count; ++i) {
-          while (!mb.try_push(i)) std::this_thread::yield();
-        }
-        mb.close();
-        consumer.join();
-        if (!ordered || expect_next != count) return std::uint64_t(0);
-        return sum;
-      },
-      8);
-  for (std::size_t seed = 0; seed < sums.size(); ++seed) {
-    const std::uint64_t count = 2000 + seed;
-    EXPECT_EQ(sums[seed], count * (count - 1) / 2) << "stream " << seed;
-  }
 }
 
 TEST(MonteCarlo, ColumnarStoreConcurrentReadersAgree) {
@@ -362,9 +313,8 @@ TEST(MonteCarlo, ColumnarStoreConcurrentReadersAgree) {
     rec.sqn = 0x100 + 0x40ULL * i;
     store.provision(rec);
   }
-  const auto digests = load::monte_carlo(
-      32,
-      [&store](std::size_t seed) {
+  const auto digests = sim::ShardPool(8).map(
+      32, [&store](std::size_t seed) {
         std::uint64_t acc = 0xcbf29ce484222325ULL;
         for (std::uint32_t n = 0; n < kRows; ++n) {
           const std::uint32_t row = (n + static_cast<std::uint32_t>(seed)) %
@@ -375,11 +325,9 @@ TEST(MonteCarlo, ColumnarStoreConcurrentReadersAgree) {
           acc = (acc ^ store.sqn(row)) * 0x100000001b3ULL;
         }
         return acc;
-      },
-      8);
-  const auto serial = load::monte_carlo(
-      32,
-      [&store](std::size_t seed) {
+      });
+  const auto serial = sim::ShardPool(1).map(
+      32, [&store](std::size_t seed) {
         std::uint64_t acc = 0xcbf29ce484222325ULL;
         for (std::uint32_t n = 0; n < kRows; ++n) {
           const std::uint32_t row = (n + static_cast<std::uint32_t>(seed)) %
@@ -390,22 +338,20 @@ TEST(MonteCarlo, ColumnarStoreConcurrentReadersAgree) {
           acc = (acc ^ store.sqn(row)) * 0x100000001b3ULL;
         }
         return acc;
-      },
-      1);
+      });
   EXPECT_EQ(digests, serial);
 }
 
 TEST(MonteCarlo, ServingPlaneHammerMatchesSequentialDigest) {
   // End-to-end hammer for the TSan stage: the full sharded serving
-  // plane (mailbox routing + per-slot slices on worker threads) must
-  // match its own sequential digest while racing detectors watch.
+  // plane (per-slot slices on ShardPool worker threads) must match its
+  // own sequential digest while racing detectors watch.
   load::ServingConfig cfg;
   cfg.slice.mode = slice::IsolationMode::kContainer;
   cfg.slice.seed = 0x7a55ULL;
   cfg.ue_count = 24;
   cfg.arrivals.kind = load::ArrivalKind::kPoisson;
   cfg.arrivals.rate_per_s = 1000.0;
-  cfg.mailbox_capacity = 2;  // maximise producer/consumer interleaving
   const load::ServingReport sequential = load::run_serving(cfg, 1);
   const load::ServingReport wide = load::run_serving(cfg, 4);
   EXPECT_EQ(wide.digest, sequential.digest);

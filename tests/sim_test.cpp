@@ -14,7 +14,6 @@
 #include "sim/clock.h"
 #include "sim/scheduler.h"
 #include "sim/shard_pool.h"
-#include "sim/spsc_mailbox.h"
 
 namespace shield5g::sim {
 namespace {
@@ -453,76 +452,6 @@ TEST(ShardPool, ZeroJobsIsANoop) {
   pool.run(0, [&touched](std::size_t) { touched = true; });
   EXPECT_FALSE(touched);
   EXPECT_TRUE(pool.map(0, [](std::size_t i) { return i; }).empty());
-}
-
-// ---------------------------------------------------------------------
-// SpscMailbox: the serving plane's shard-routing channel
-// ---------------------------------------------------------------------
-
-TEST(SpscMailbox, FifoOrderWithinCapacity) {
-  SpscMailbox<int> mb(8);
-  EXPECT_EQ(mb.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(mb.try_push(i));
-  int out = -1;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(mb.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(mb.try_pop(out));
-}
-
-TEST(SpscMailbox, FullMailboxRefusesWithoutDropping) {
-  SpscMailbox<int> mb(2);
-  EXPECT_TRUE(mb.try_push(1));
-  EXPECT_TRUE(mb.try_push(2));
-  EXPECT_FALSE(mb.try_push(3)) << "bounded ring must back-pressure";
-  int out = 0;
-  ASSERT_TRUE(mb.try_pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(mb.try_push(3)) << "slot freed by the pop";
-}
-
-TEST(SpscMailbox, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscMailbox<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscMailbox<int>(0).capacity(), 2u);
-  EXPECT_EQ(SpscMailbox<int>(64).capacity(), 64u);
-}
-
-TEST(SpscMailbox, DrainedOnlyAfterCloseAndEmpty) {
-  SpscMailbox<int> mb(4);
-  EXPECT_FALSE(mb.drained()) << "open mailbox is never drained";
-  ASSERT_TRUE(mb.try_push(7));
-  mb.close();
-  EXPECT_FALSE(mb.drained()) << "closed but not yet empty";
-  EXPECT_FALSE(mb.try_push(8)) << "closed mailbox refuses producers";
-  int out = 0;
-  ASSERT_TRUE(mb.try_pop(out));
-  EXPECT_EQ(out, 7);
-  EXPECT_TRUE(mb.drained());
-}
-
-TEST(SpscMailbox, CrossThreadStreamKeepsOrderUnderContention) {
-  // One producer, one consumer, a ring far smaller than the stream:
-  // every value must arrive exactly once, in order, through repeated
-  // full/empty transitions.
-  SpscMailbox<std::uint32_t> mb(4);
-  constexpr std::uint32_t kCount = 20000;
-  std::vector<std::uint32_t> got;
-  got.reserve(kCount);
-  std::thread consumer([&] {
-    std::uint32_t v = 0;
-    while (!mb.drained()) {
-      while (mb.try_pop(v)) got.push_back(v);
-      std::this_thread::yield();
-    }
-  });
-  for (std::uint32_t i = 0; i < kCount; ++i) {
-    while (!mb.try_push(i)) std::this_thread::yield();
-  }
-  mb.close();
-  consumer.join();
-  ASSERT_EQ(got.size(), kCount);
-  for (std::uint32_t i = 0; i < kCount; ++i) ASSERT_EQ(got[i], i);
 }
 
 }  // namespace
