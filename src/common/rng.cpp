@@ -67,14 +67,25 @@ double Rng::lognormal(double median, double sigma) noexcept {
 
 Bytes Rng::bytes(std::size_t n) {
   Bytes out(n);
-  std::size_t i = 0;
-  while (i < n) {
-    std::uint64_t v = next();
-    for (int b = 0; b < 8 && i < n; ++b, ++i) {
-      out[i] = static_cast<std::uint8_t>(v >> (8 * b));
+  fill(out);
+  return out;
+}
+
+void Rng::fill(std::span<std::uint8_t> out) noexcept {
+  std::uint8_t* p = out.data();
+  std::size_t left = out.size();
+  for (; left >= 8; p += 8, left -= 8) {
+    // Explicit shifts pin the byte order on any host; compilers merge
+    // them into one 8-byte store on little-endian targets.
+    const std::uint64_t v = next();
+    for (int b = 0; b < 8; ++b) p[b] = static_cast<std::uint8_t>(v >> (8 * b));
+  }
+  if (left > 0) {
+    const std::uint64_t v = next();
+    for (std::size_t b = 0; b < left; ++b) {
+      p[b] = static_cast<std::uint8_t>(v >> (8 * b));
     }
   }
-  return out;
 }
 
 }  // namespace shield5g

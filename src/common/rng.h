@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.h"
 
@@ -37,8 +38,14 @@ class Rng {
   /// log-normal jitter reproduces that shape.
   double lognormal(double median, double sigma) noexcept;
 
-  /// `n` random bytes (for RAND, keys, nonces in the simulated core).
+  /// `n` random bytes (for RAND, keys, nonces in the simulated core);
+  /// fill() into a new vector.
   Bytes bytes(std::size_t n);
+
+  /// Fills `out` from the stream: each draw's eight bytes in
+  /// little-endian order, the last draw truncated. Filling n bytes
+  /// consumes the same draws as bytes(n) and writes the same bytes.
+  void fill(std::span<std::uint8_t> out) noexcept;
 
  private:
   std::uint64_t s_[4];

@@ -1,5 +1,6 @@
 #include "common/secret.h"
 
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -9,11 +10,15 @@
 namespace shield5g {
 
 void secure_zero(void* p, std::size_t n) noexcept {
-  // A volatile-qualified pointer write cannot be elided even though the
-  // buffer is about to be freed (the classic dead-store-elimination
-  // hole memset falls into).
-  volatile auto* bytes = static_cast<volatile unsigned char*>(p);
-  for (std::size_t i = 0; i < n; ++i) bytes[i] = 0;
+  // An empty SecretBytes passes a null pointer, and memset on a null
+  // pointer is undefined even for zero bytes.
+  if (n == 0) return;
+  std::memset(p, 0, n);
+  // A memset into a buffer that is freed next is a dead store the
+  // optimizer may drop. The empty asm takes `p` as an input and
+  // clobbers memory, so the compiler must assume the zeroed bytes are
+  // read through `p` afterwards, even when this call is inlined.
+  __asm__ __volatile__("" : : "r"(p) : "memory");
 }
 
 const char* declassify_reason_name(DeclassifyReason reason) noexcept {

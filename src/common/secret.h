@@ -39,7 +39,8 @@ class EnclaveContext;
 
 namespace shield5g {
 
-/// Volatile-qualified zeroization the optimizer must not elide.
+/// Zeroizes `n` bytes at `p` (null when n == 0) at memset speed, behind
+/// a compiler barrier so the optimizer can never elide the wipe.
 void secure_zero(void* p, std::size_t n) noexcept;
 
 /// Why a secret is being lowered to plain bytes. Every declassification
@@ -187,7 +188,7 @@ class SecretBytes {
 
  private:
   void wipe() noexcept {
-    if (!data_.empty()) secure_zero(data_.data(), data_.size());
+    secure_zero(data_.data(), data_.size());
     data_.clear();
   }
 

@@ -2,11 +2,13 @@
 //
 // This is the primitive under MILENAGE (TS 35.206) and the AES-CTR
 // stream used by the ECIES SUCI protection scheme (TS 33.501 Annex C).
-// Two kernels back the same interface: a table-free byte-oriented
-// scalar reference and an AES-NI path selected at runtime (see
+// Two kernels back the same interface: a byte-oriented scalar
+// reference and an AES-NI path selected at runtime (see
 // crypto/cpu_dispatch.h). Both execute the same block operations and
 // charge the same op counts, so virtual-time results never depend on
-// which one ran.
+// which one ran. Neither is constant-time against cache probes: the
+// scalar kernel indexes the S-box table, and so does the key schedule,
+// which is scalar on both backends.
 //
 // The expanded key schedule lives in the context object: expand once,
 // encrypt many. Milenage, ECIES and the TLS record layer all hold a

@@ -42,50 +42,63 @@ void SubscriberStore::reserve(std::size_t n) {
   if (slots > index_.size()) rehash(slots);
 }
 
-std::uint32_t SubscriberStore::find_slot(std::string_view supi) const noexcept {
+std::uint32_t SubscriberStore::find_slot(
+    const HashedSupi& supi) const noexcept {
   const std::size_t mask = index_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(supi_hash(supi)) & mask;
-  while (index_[i] != 0 && supi_[index_[i] - 1] != supi) {
+  std::size_t i = static_cast<std::size_t>(supi.hash) & mask;
+  while (index_[i] != 0 && supi_[index_[i] - 1] != supi.supi) {
     i = (i + 1) & mask;
   }
   return static_cast<std::uint32_t>(i);
 }
 
+void SubscriberStore::prefetch(const HashedSupi& supi) const noexcept {
+  __builtin_prefetch(
+      &index_[static_cast<std::size_t>(supi.hash) & (index_.size() - 1)]);
+}
+
 std::uint32_t SubscriberStore::row(std::string_view supi) const noexcept {
-  const std::uint32_t slot = index_[find_slot(supi)];
+  const std::uint32_t slot = index_[find_slot(HashedSupi(supi))];
   return slot == 0 ? kNoRow : slot - 1;
 }
 
 std::uint32_t SubscriberStore::provision(const SubscriberRecord& record) {
-  if (record.k.size() != 16 || record.opc.size() != 16) {
+  return provision(HashedSupi(record.supi.value), record.k, record.opc,
+                   record.sqn, record.amf_field);
+}
+
+std::uint32_t SubscriberStore::provision(const HashedSupi& supi,
+                                         SecretView k, SecretView opc,
+                                         std::uint64_t sqn,
+                                         ByteView amf_field) {
+  if (k.size() != 16 || opc.size() != 16) {
     throw std::invalid_argument("SubscriberStore: K/OPc must be 16 bytes");
   }
-  if (record.amf_field.size() != 2) {
+  if (amf_field.size() != 2) {
     throw std::invalid_argument("SubscriberStore: AMF field must be 2 bytes");
   }
   if (over_fill(supi_.size() + 1, index_.size())) rehash(index_.size() * 2);
 
-  const std::uint32_t slot = find_slot(record.supi.value);
-  std::uint32_t r = index_[slot];
-  if (r == 0) {
-    // New row: intern the identity once; the row index is stable from
-    // here on (a later replace reuses it).
-    supi_.push_back(ids_.intern(record.supi.value));
-    k_.emplace_back();
-    opc_.emplace_back();
-    sqn_.push_back(0);
-    amf_.push_back({});
-    r = static_cast<std::uint32_t>(supi_.size());
-    index_[slot] = r;
+  // K and OPc are copied secret -> secret into the fixed columns; the
+  // raw range never reaches a sink here.
+  const std::uint32_t slot = find_slot(supi);
+  if (const std::uint32_t r = index_[slot]; r != 0) {
+    const std::uint32_t row = r - 1;
+    k_[row] = Secret<16>(k.unsafe_bytes());
+    opc_[row] = Secret<16>(opc.unsafe_bytes());
+    sqn_[row] = sqn;
+    amf_[row] = {amf_field[0], amf_field[1]};
+    return row;
   }
-  const std::uint32_t row = r - 1;
-  // Taint-preserving copy into the fixed columns (secret -> secret; the
-  // raw range never reaches a sink here).
-  k_[row] = Secret<16>(record.k.unsafe_bytes());
-  opc_[row] = Secret<16>(record.opc.unsafe_bytes());
-  sqn_[row] = record.sqn;
-  amf_[row][0] = record.amf_field[0];
-  amf_[row][1] = record.amf_field[1];
+  // New row: intern the identity once; the row number is stable from
+  // here on (a later replace reuses it).
+  supi_.push_back(ids_.intern(supi.supi));
+  k_.emplace_back(k.unsafe_bytes());
+  opc_.emplace_back(opc.unsafe_bytes());
+  sqn_.push_back(sqn);
+  amf_.push_back({amf_field[0], amf_field[1]});
+  const auto row = static_cast<std::uint32_t>(supi_.size() - 1);
+  index_[slot] = row + 1;
   return row;
 }
 

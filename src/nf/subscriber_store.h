@@ -42,6 +42,16 @@ namespace shield5g::nf {
 /// shard owns this subscriber" and "which slot holds it" never disagree.
 std::uint64_t supi_hash(std::string_view supi) noexcept;
 
+/// A SUPI with its supi_hash, computed once: a bulk loop builds it a few
+/// rows ahead to prefetch() the SUPI's index slot, then inserts with it.
+struct HashedSupi {
+  explicit HashedSupi(std::string_view s) noexcept
+      : supi(s), hash(supi_hash(s)) {}
+
+  std::string_view supi;
+  std::uint64_t hash;
+};
+
 class SubscriberStore {
  public:
   static constexpr std::uint32_t kNoRow = 0xFFFFFFFFu;
@@ -59,6 +69,17 @@ class SubscriberStore {
   /// K/OPc must be 16 bytes and the AMF field 2 (the SBI provisioning
   /// route validates the same bounds).
   std::uint32_t provision(const SubscriberRecord& record);
+
+  /// The same insert from views, so a bulk loop can derive rows into
+  /// stack buffers and insert them without building a record; a new
+  /// row's columns are constructed in place. Same checks as above.
+  std::uint32_t provision(const HashedSupi& supi, SecretView k,
+                          SecretView opc, std::uint64_t sqn,
+                          ByteView amf_field);
+
+  /// Starts loading the index slot `supi` hashes to, so that a
+  /// provision() of it a few rows later finds the slot in cache.
+  void prefetch(const HashedSupi& supi) const noexcept;
 
   /// Row holding `supi`, or kNoRow.
   std::uint32_t row(std::string_view supi) const noexcept;
@@ -87,7 +108,7 @@ class SubscriberStore {
 
  private:
   void rehash(std::size_t slots);
-  std::uint32_t find_slot(std::string_view supi) const noexcept;
+  std::uint32_t find_slot(const HashedSupi& supi) const noexcept;
 
   // Slot values are row + 1; 0 marks an empty slot.
   std::vector<std::uint32_t> index_ SHIELD_THREAD_CONFINED;

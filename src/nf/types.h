@@ -2,6 +2,7 @@
 // authentication vectors (TS 23.003, TS 33.501).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -41,6 +42,10 @@ struct Guti {
   bool operator==(const Guti&) const = default;
 };
 
+/// AMF authentication field a subscriber is provisioned with unless the
+/// operator sets one (TS 33.102): the separation bit set, nothing else.
+inline constexpr std::array<std::uint8_t, 2> kDefaultAmfField = {0x80, 0x00};
+
 /// UDR-side subscriber credential record. The long-term key K is stored
 /// here for the monolithic / container baselines; in the SGX deployment
 /// the eUDM P-AKA module receives the K table as a sealed blob at
@@ -51,7 +56,7 @@ struct SubscriberRecord {
   SecretBytes k;    // 16 bytes — long-term subscriber key
   SecretBytes opc;  // 16 bytes — derived operator code
   std::uint64_t sqn = 0;      // 48-bit sequence number
-  Bytes amf_field = {0x80, 0x00};  // AMF authentication field (TS 33.102)
+  Bytes amf_field = Bytes(kDefaultAmfField.begin(), kDefaultAmfField.end());
 
   Bytes sqn_bytes() const { return be_bytes(sqn, 6); }
 };

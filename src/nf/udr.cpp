@@ -90,9 +90,14 @@ void Udr::register_routes() {
         rec.k = std::move(*k);
         rec.opc = std::move(*opc);
         rec.sqn = be_value(*sqn);
-        if (const auto amf_field = hex_bytes(*body, "amfField");
-            amf_field && amf_field->size() == 2) {
-          rec.amf_field = *amf_field;
+        // An absent amfField keeps the default; a present one must be
+        // two hex bytes like the other fields, never silently dropped.
+        if (body->has("amfField")) {
+          auto amf_field = hex_bytes(*body, "amfField");
+          if (!amf_field || amf_field->size() != 2) {
+            return net::HttpResponse::error(400, "bad credential fields");
+          }
+          rec.amf_field = std::move(*amf_field);
         }
         provision(rec);
         return net::HttpResponse::json(201, "{}");

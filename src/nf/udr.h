@@ -20,13 +20,12 @@ class Udr : public Vnf {
   /// Provisioning-plane insert/replace (not part of the SBI).
   void provision(const SubscriberRecord& record) { store_.provision(record); }
 
-  /// Pre-sizes the store for a bulk provisioning run (the 1M-subscriber
-  /// bench path: no rehashes, no column growth mid-provision).
-  void reserve_subscribers(std::size_t n) { store_.reserve(n); }
-
   /// Direct read access for the orchestrator and tests (e.g. to seal
   /// the K table into the eUDM enclave at deployment time).
   const SubscriberStore& store() const noexcept { return store_; }
+  /// The orchestrator's bulk provisioning path (reserve, prefetch and
+  /// view inserts at 1M subscribers); not part of the SBI either.
+  SubscriberStore& store() noexcept { return store_; }
 
   std::size_t subscriber_count() const noexcept { return store_.size(); }
 

@@ -1,9 +1,11 @@
 #include "slice/slice.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <array>
 #include <initializer_list>
 #include <map>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/log.h"
 #include "crypto/sha256.h"
@@ -117,43 +119,122 @@ Slice::Slice(SliceConfig config)
 
 Slice::~Slice() = default;
 
-nf::SubscriberRecord Slice::derived_record(std::uint32_t gid) const {
+namespace {
+
+// Rows the population loop derives ahead of the one it inserts. A row's
+// index slot is prefetched when the row is derived, so up to this many
+// slot misses of a 1M-row index are in flight at once.
+constexpr std::size_t kLookAhead = 8;
+
+/// One subscriber's identity and credentials in fixed storage: no heap,
+/// and K‖OPc is wiped when the value dies.
+struct Credentials {
+  Credentials() = default;
+  Credentials(const Credentials&) = delete;
+  Credentials& operator=(const Credentials&) = delete;
+  ~Credentials() { secure_zero(k_opc.data(), k_opc.size()); }
+
+  std::string_view supi() const noexcept {
+    return std::string_view(text.data(), length);
+  }
+  ByteView k() const noexcept { return ByteView(k_opc).first(16); }
+  ByteView opc() const noexcept { return ByteView(k_opc).last(16); }
+
+  std::array<char, 24> text{};  // SUPI: mcc‖mnc‖10-digit MSIN
+  std::size_t length = 0;
+  std::array<std::uint8_t, 32> k_opc{};  // K‖OPc
+  std::uint64_t sqn = 0;
+};
+
+/// The one subscriber derivation, shared by both provisioning modes.
+/// The MSIN is %010u of 100000000u + id: a u32 sum, so it wraps exactly
+/// like the printf it replaces, and a u32 never needs an 11th digit.
+/// K‖OPc are the next 32 bytes of `rng`; the network SQN starts at
+/// 0x100 + 0x40 * id.
+void derive(const nf::Plmn& plmn, std::uint32_t id, Rng& rng,
+            Credentials& out) {
+  const std::size_t prefix = plmn.mcc.size() + plmn.mnc.size();
+  if (prefix + 10 > out.text.size()) {
+    throw std::invalid_argument("Slice: PLMN id too long for a SUPI");
+  }
+  char* msin = std::copy(plmn.mcc.begin(), plmn.mcc.end(), out.text.data());
+  msin = std::copy(plmn.mnc.begin(), plmn.mnc.end(), msin);
+  std::uint32_t digits = 100000000u + id;
+  for (int d = 9; d >= 0; --d, digits /= 10) {
+    msin[d] = static_cast<char>('0' + digits % 10);
+  }
+  out.length = prefix + 10;
+  rng.fill(out.k_opc);
+  out.sqn = 0x100 + 0x40ULL * id;
+}
+
+/// Population mode's per-id stream: the credentials depend only on
+/// (seed, gid), never on provisioning order — every shard layout
+/// derives the same subscriber.
+Rng population_rng(std::uint64_t seed, std::uint32_t gid) {
+  return Rng(seed ^ 0xc4edULL ^
+             (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(gid) + 1)));
+}
+
+nf::SubscriberRecord record_of(const Credentials& creds) {
   nf::SubscriberRecord rec;
-  char msin[16];
-  std::snprintf(msin, sizeof(msin), "%010u", 100000000u + gid);
-  rec.supi = nf::Supi::from_parts(config_.plmn, msin);
-  // Per-id stream: the credentials depend only on (seed, gid), never on
-  // provisioning order — every shard layout derives the same subscriber.
-  Rng rng(config_.seed ^ 0xc4edULL ^
-          (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(gid) + 1)));
-  rec.k = rng.bytes(16);
-  rec.opc = rng.bytes(16);
-  rec.sqn = 0x100 + 0x40ULL * gid;
+  rec.supi.value = std::string(creds.supi());
+  rec.k = SecretBytes(creds.k());
+  rec.opc = SecretBytes(creds.opc());
+  rec.sqn = creds.sqn;
   return rec;
+}
+
+}  // namespace
+
+nf::SubscriberRecord Slice::derived_record(std::uint32_t gid) const {
+  Credentials creds;
+  Rng rng = population_rng(config_.seed, gid);
+  derive(config_.plmn, gid, rng, creds);
+  return record_of(creds);
 }
 
 void Slice::provision_subscribers() {
   subscribers_.clear();
-  if (!config_.population.empty()) {
+  const std::vector<std::uint32_t>& gids = config_.population;
+  if (!gids.empty()) {
     // Population mode: the columnar UDR store is the only resident copy
-    // — no fat SubscriberRecord vector at 1M subscribers.
-    udr_->reserve_subscribers(config_.population.size());
-    for (const std::uint32_t gid : config_.population) {
-      udr_->provision(derived_record(gid));
+    // — no fat SubscriberRecord vector at 1M subscribers. Each row is
+    // derived into a ring slot kLookAhead rows before its insert, and
+    // its index slot prefetched then, so consecutive rows' slot misses
+    // overlap. Rows still go in population order: row numbers and
+    // probe order are those of a plain loop.
+    struct Ahead {
+      Credentials creds;
+      nf::HashedSupi key{std::string_view()};
+    };
+    nf::SubscriberStore& store = udr_->store();
+    store.reserve(gids.size());
+    std::array<Ahead, kLookAhead> ring;
+    const auto stage = [&](std::size_t i) {
+      Ahead& ahead = ring[i % kLookAhead];
+      Rng rng = population_rng(config_.seed, gids[i]);
+      derive(config_.plmn, gids[i], rng, ahead.creds);
+      ahead.key = nf::HashedSupi(ahead.creds.supi());
+      store.prefetch(ahead.key);
+    };
+    for (std::size_t i = 0; i < std::min(kLookAhead, gids.size()); ++i) {
+      stage(i);
+    }
+    for (std::size_t i = 0; i < gids.size(); ++i) {
+      const Ahead& row = ring[i % kLookAhead];
+      store.provision(row.key, row.creds.k(), row.creds.opc(),
+                      row.creds.sqn, nf::kDefaultAmfField);
+      if (i + kLookAhead < gids.size()) stage(i + kLookAhead);
     }
     return;
   }
   subscribers_.reserve(config_.subscriber_count);
+  Credentials creds;
   for (std::uint32_t i = 0; i < config_.subscriber_count; ++i) {
-    nf::SubscriberRecord rec;
-    char msin[16];
-    std::snprintf(msin, sizeof(msin), "%010u", 100000000u + i);
-    rec.supi = nf::Supi::from_parts(config_.plmn, msin);
-    rec.k = cred_rng_.bytes(16);
-    rec.opc = cred_rng_.bytes(16);
-    rec.sqn = 0x100 + 0x40ULL * i;
-    udr_->provision(rec);
-    subscribers_.push_back(std::move(rec));
+    derive(config_.plmn, i, cred_rng_, creds);
+    subscribers_.push_back(record_of(creds));
+    udr_->provision(subscribers_.back());
   }
 }
 

@@ -130,6 +130,40 @@ TEST(Rng, BytesLengthAndVariety) {
   EXPECT_LT(zeros, 50);  // ~3.9 expected
 }
 
+TEST(Rng, FillAndBytesDrawTheSameStream) {
+  // Reference: the byte-at-a-time little-endian expansion of next().
+  const auto reference = [](Rng& rng, std::size_t n) {
+    Bytes out;
+    while (out.size() < n) {
+      const std::uint64_t v = rng.next();
+      for (int b = 0; b < 8 && out.size() < n; ++b) {
+        out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+      }
+    }
+    return out;
+  };
+  for (std::size_t n = 0; n <= 40; ++n) {
+    SCOPED_TRACE(n);
+    Rng ref(77), by_bytes(77), by_fill(77);
+    const Bytes expected = reference(ref, n);
+    Bytes filled(n, 0xEE);
+    by_fill.fill(filled);
+    EXPECT_EQ(by_bytes.bytes(n), expected);
+    EXPECT_EQ(filled, expected);
+    // Same draws consumed: the three streams stay in step afterwards.
+    const std::uint64_t next = ref.next();
+    EXPECT_EQ(by_bytes.next(), next);
+    EXPECT_EQ(by_fill.next(), next);
+  }
+  Rng halves(78), whole(78);
+  Bytes both = halves.bytes(16);
+  const Bytes second = halves.bytes(16);
+  both.insert(both.end(), second.begin(), second.end());
+  Bytes filled(32);
+  whole.fill(filled);
+  EXPECT_EQ(both, filled);
+}
+
 TEST(Stats, OrderStatistics) {
   Samples s;
   for (double v : {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0}) {

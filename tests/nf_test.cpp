@@ -245,6 +245,36 @@ TEST_F(CoreFixture, UdrProvisionOverSbi) {
   EXPECT_EQ(udr_->subscriber_count(), 2u);
 }
 
+TEST_F(CoreFixture, UdrProvisionRejectsMalformedAmfField) {
+  auto put = [this](const std::string& supi, const char* amf_field) {
+    json::Object body;
+    body["k"] = hex_field(Bytes(16, 1));
+    body["opc"] = hex_field(Bytes(16, 2));
+    body["sqn"] = hex_field(Bytes(6, 0));
+    body["amfField"] = json::Value(std::string(amf_field));
+    return bus_
+        .request("test", "udr",
+                 json_put("/nudr-dr/v1/subscription-data/" + supi,
+                          json::Value(std::move(body))))
+        .response.status;
+  };
+  // Present but not two hex bytes: rejected like a bad k/opc/sqn, and
+  // nothing is stored (no silent fallback to the default 8000).
+  for (const char* bad : {"900000", "zz00", "90"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(put("001010000000098", bad), 400);
+    EXPECT_EQ(udr_->subscriber_count(), 1u);
+    EXPECT_EQ(udr_->store().row("001010000000098"), SubscriberStore::kNoRow);
+  }
+  EXPECT_EQ(put("001010000000098", "9000"), 201);
+  ASSERT_EQ(udr_->subscriber_count(), 2u);
+  const std::uint32_t row = udr_->store().row("001010000000098");
+  ASSERT_NE(row, SubscriberStore::kNoRow);
+  EXPECT_EQ(Bytes(udr_->store().amf_field(row).begin(),
+                  udr_->store().amf_field(row).end()),
+            (Bytes{0x90, 0x00}));
+}
+
 TEST_F(CoreFixture, UdmGeneratesAvFromSupi) {
   json::Object body;
   body["supi"] = record_.supi.value;

@@ -98,6 +98,24 @@ TEST(SecretZeroize, FixedSecretScribbleAndInspect) {
   }
 }
 
+TEST(SecretZeroize, SecureZeroEdgeCases) {
+  secure_zero(nullptr, 0);  // an empty SecretBytes passes exactly this
+  // Odd lengths at every misalignment: exactly [offset, offset + n) is
+  // cleared, the guard bytes on either side are untouched.
+  for (std::size_t offset = 1; offset < 8; ++offset) {
+    for (const std::size_t n : {1u, 3u, 7u, 15u, 17u, 33u, 63u}) {
+      SCOPED_TRACE(testing::Message() << "offset " << offset << " n " << n);
+      std::array<unsigned char, 96> buf;
+      buf.fill(0xA5);
+      secure_zero(buf.data() + offset, n);
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        const bool wiped = i >= offset && i < offset + n;
+        EXPECT_EQ(buf[i], wiped ? 0x00 : 0xA5) << "byte " << i;
+      }
+    }
+  }
+}
+
 TEST(SecretZeroize, MoveConstructionWipesSource) {
   SecretBytes source(Bytes(16, 0x5A));
   SecretBytes dest(std::move(source));

@@ -4,7 +4,10 @@
 
 #include <cstdio>
 #include <numeric>
+#include <set>
+#include <string>
 
+#include "common/hex.h"
 #include "nf/subscriber_store.h"
 #include "slice/slice.h"
 
@@ -220,6 +223,80 @@ TEST(SliceTest, MillionSubscriberProvisionFitsRssCeiling) {
   ASSERT_GT(peak_kib, 0) << "VmHWM unreadable";
   EXPECT_LE(peak_kib, kRssCeilingKib)
       << "1M provision peak RSS " << peak_kib / 1024 << " MiB";
+}
+
+TEST(SliceTest, PopulationCredentialsArePinnedAndAgreeEndToEnd) {
+  // The bulk provisioning loop and the on-demand derivation behind
+  // subscriber(i) must agree row for row. The ids cover the SUPI
+  // format's edges: both sides of 900,000,000 (where %010u of
+  // 100000000u + gid stops zero-padding), an id where that sum wraps,
+  // and a repeated id, which replaces its row instead of adding one.
+  // 3001 rows is no multiple of any power-of-two look-ahead distance,
+  // and the last rows are distinct ids, so a dropped tail loses rows.
+  SliceConfig cfg;
+  cfg.mode = IsolationMode::kMonolithic;
+  cfg.seed = 0x5EED18ULL;
+  for (std::uint32_t g = 0; g < 1500; ++g) cfg.population.push_back(7 * g);
+  cfg.population.push_back(14);  // repeats population[2]
+  for (std::uint32_t g = 0; g < 1499; ++g) {
+    cfg.population.push_back(899'999'250u + g);
+  }
+  cfg.population.push_back(0xFFFFFFFFu);  // MSIN 0099999999
+  Slice s(cfg);
+  s.create();
+
+  const nf::SubscriberStore& store = s.udr().store();
+  const std::set<std::uint32_t> distinct(cfg.population.begin(),
+                                         cfg.population.end());
+  ASSERT_EQ(store.size(), distinct.size());
+
+  std::set<std::uint32_t> seen;
+  std::uint32_t next_row = 0;
+  for (std::uint32_t i = 0; i < cfg.population.size(); ++i) {
+    const std::uint32_t gid = cfg.population[i];
+    char supi[32];
+    std::snprintf(supi, sizeof(supi), "00101%010u", 100000000u + gid);
+    SCOPED_TRACE(supi);
+    const std::uint32_t row = store.row(supi);
+    ASSERT_NE(row, nf::SubscriberStore::kNoRow);
+    // Rows are numbered in first-occurrence order of the population.
+    if (seen.insert(gid).second) {
+      EXPECT_EQ(row, next_row++);
+    }
+    EXPECT_EQ(store.supi(row), supi);
+
+    const ran::UsimConfig usim = s.subscriber(i);
+    EXPECT_EQ(usim.plmn.id() + usim.msin, supi);
+    EXPECT_TRUE(SecretView(store.k(row)) == SecretView(usim.k));
+    EXPECT_TRUE(SecretView(store.opc(row)) == SecretView(usim.opc));
+    EXPECT_EQ(store.sqn(row), usim.sqn_ms + 1);
+    EXPECT_EQ(Bytes(store.amf_field(row).begin(), store.amf_field(row).end()),
+              (Bytes{0x80, 0x00}));
+  }
+
+  // Known answers at seed 0x5EED18: any change to the derivation (the
+  // per-id stream, the draw order, the byte order) fails here.
+  struct Known {
+    std::uint32_t gid;
+    const char* k;
+    const char* opc;
+  };
+  for (const Known& known :
+       {Known{0u, "194bd43d33474783a9d1b11d358ab158",
+              "a5794649ef9072468833afa5ee492191"},
+        Known{900'000'000u, "ba8d6373d349e13042675e7770cc0ef3",
+              "2607d796c2589052c824110f4da43160"},
+        Known{0xFFFFFFFFu, "6a7ef340934d0eafde3eb97191be18c3",
+              "04264c556301eff4a8379978e165c222"}}) {
+    char supi[32];
+    std::snprintf(supi, sizeof(supi), "00101%010u", 100000000u + known.gid);
+    SCOPED_TRACE(supi);
+    const std::uint32_t row = store.row(supi);
+    ASSERT_NE(row, nf::SubscriberStore::kNoRow);
+    EXPECT_TRUE(SecretView(store.k(row)) == SecretView(hex_decode(known.k)));
+    EXPECT_TRUE(SecretView(store.opc(row)) ==
+                SecretView(hex_decode(known.opc)));
+  }
 }
 
 }  // namespace

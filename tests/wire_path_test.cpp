@@ -4,7 +4,9 @@
 // traffic must stay under a pinned ceiling — the pooled record path and
 // interned headers are what keep it there. At workload scale, a small
 // registration sweep pins that the buffer pool, TLS resumption, the
-// ephemeral-key pool and the co-located fast path all stay hot.
+// ephemeral-key pool and the co-located fast path all stay hot. The
+// same probe pins that bulk population provisioning allocates per
+// arena chunk, not per subscriber.
 //
 // The allocation probe overrides global operator new/delete for this
 // test binary only and counts calls; it never changes behavior.
@@ -15,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -130,6 +133,35 @@ TEST_F(WirePathFixture, WarmExchangeAllocationsUnderCeiling) {
   // records or headers adds tens of allocations per exchange — the
   // ceiling leaves room only for container doubling, not for copies.
   EXPECT_LE(per_exchange, 8.0);
+}
+
+// Allocations made by constructing and creating a population-mode
+// slice of ids [0, n), slice teardown included.
+std::uint64_t population_slice_allocs(std::uint32_t n) {
+  slice::SliceConfig cfg;
+  cfg.mode = slice::IsolationMode::kMonolithic;
+  cfg.population.resize(n);
+  std::iota(cfg.population.begin(), cfg.population.end(), 0u);
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  {
+    slice::Slice s(std::move(cfg));
+    s.create();
+  }
+  return g_alloc_count.load(std::memory_order_relaxed) - before;
+}
+
+TEST(WirePathProvisioning, BulkProvisionAllocatesPerChunkNotPerRow) {
+  // Bulk provisioning derives each row on the stack and inserts it into
+  // reserved columns; only the identity arena grows, one 64 KiB chunk
+  // per ~4K SUPIs. Doubling the population may therefore add a few
+  // allocations, never one per row. 3001 rows is no multiple of any
+  // power-of-two look-ahead distance, so the loop's tail runs too.
+  constexpr std::uint32_t kRows = 3001;
+  population_slice_allocs(kRows);  // process-once set-up
+  const std::uint64_t once = population_slice_allocs(kRows);
+  const std::uint64_t twice = population_slice_allocs(2 * kRows);
+  EXPECT_LE(twice, once + 16) << once << " allocations for " << kRows
+                              << " rows, " << twice << " for " << 2 * kRows;
 }
 
 // Global counters accumulate over every test in this binary, so the
