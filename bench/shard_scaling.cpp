@@ -18,12 +18,15 @@
 // exit. Wall time and speedup are recorded, never gated: the exit status
 // is non-zero only on a digest divergence, a schema failure or a write
 // failure.
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,21 +59,26 @@ struct RunResult {
   bool match = false;  // digest == sequential reference digest
 };
 
+// Comma-separated positive integers, consumed to the end: an empty
+// entry, a sign or trailing junk rejects the whole list instead of
+// silently dropping the rest of it.
 std::vector<unsigned> parse_worker_list(const char* arg) {
   std::vector<unsigned> counts;
-  const char* p = arg;
-  while (*p != '\0') {
+  for (const char* p = arg;; ++p) {
     char* end = nullptr;
-    const long v = std::strtol(p, &end, 10);
-    if (end == p || v <= 0) break;
+    errno = 0;
+    const unsigned long v = std::isdigit(static_cast<unsigned char>(*p))
+                                ? std::strtoul(p, &end, 10)
+                                : 0;
+    if (v == 0 || errno != 0 || v > std::numeric_limits<unsigned>::max() ||
+        (*end != ',' && *end != '\0')) {
+      std::fprintf(stderr, "shard_scaling: bad --workers list '%s'\n", arg);
+      std::exit(2);
+    }
     counts.push_back(static_cast<unsigned>(v));
-    p = (*end == ',') ? end + 1 : end;
+    if (*end == '\0') return counts;
+    p = end;
   }
-  if (counts.empty()) {
-    std::fprintf(stderr, "shard_scaling: bad --workers list '%s'\n", arg);
-    std::exit(2);
-  }
-  return counts;
 }
 
 Options parse_args(int argc, char** argv) {

@@ -9,8 +9,12 @@
 // arrivals are an open-loop Poisson process driven through the
 // concurrent-registration engine, and queueing delay at each module is
 // reported separately from the service windows.
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "load/generator.h"
@@ -89,15 +93,42 @@ void run_mode_open_loop(slice::IsolationMode mode, std::uint32_t ue_count,
   }
 }
 
+// Both arguments are plain unsigned numbers consumed to their end: no
+// sign, no leading space, nothing trailing.
+bool parse_ue_count(const char* arg, std::uint32_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(arg[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long v = std::strtoul(arg, &end, 10);
+  if (errno != 0 || *end != '\0' || v == 0 ||
+      v > std::numeric_limits<std::uint32_t>::max()) {
+    return false;
+  }
+  out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
+bool parse_rate(const char* arg, double& out) {
+  if (!std::isdigit(static_cast<unsigned char>(arg[0])) && arg[0] != '.') {
+    return false;
+  }
+  char* end = nullptr;
+  const double v = std::strtod(arg, &end);
+  if (*end != '\0' || !std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint32_t ue_count =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 100;
-  const double rate_per_s = argc > 2 ? std::atof(argv[2]) : 0.0;
-  if (ue_count == 0) {
+  std::uint32_t ue_count = 100;
+  double rate_per_s = 0.0;
+  if (argc > 3 || (argc > 1 && !parse_ue_count(argv[1], ue_count)) ||
+      (argc > 2 && !parse_rate(argv[2], rate_per_s))) {
     std::fprintf(stderr,
-                 "usage: %s [ue_count >= 1] [offered_load_per_s]\n", argv[0]);
+                 "usage: %s [ue_count >= 1] [offered_load_per_s >= 0]\n",
+                 argv[0]);
     return 1;
   }
 

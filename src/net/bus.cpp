@@ -168,12 +168,11 @@ void Bus::attach(Server& server) {
     // The ticket master key only draws from the bus RNG under
     // resumption, so the legacy RNG stream stays bit-identical.
     servers_[id].issuer = std::make_unique<TicketIssuer>(
-        SecretView(rng_.bytes(32)), ticket_lifetime_ns_);
+        SecretView(rng_.bytes(32)), TicketIssuer::kDefaultLifetimeNs);
   }
 }
 
 void Bus::detach(std::string_view name) {
-  drop_connections(name);
   if (const auto id = lookup(name)) servers_[*id].server = nullptr;
 }
 
@@ -218,70 +217,80 @@ Bus::Connection Bus::open_connection(Attachment& target,
   server.env().syscall(Sys::kAccept);
   clock_.advance(bridge_ns(60));
 
+  // One TLS hello round trip: `make_hello` writes the client's hello,
+  // `answer` writes the server's reply and reports whether the server
+  // accepted. Key work executes for real on both sides and is charged
+  // to each side's environment. Every handshake family below is this
+  // round trip; they differ only in the TlsSession calls inside the
+  // two callbacks. Returns the server's hello.
+  const auto hello_round_trip = [&](auto&& make_hello, auto&& answer) {
+    Bytes hello;
+    crypto::OpMeter client_ops;
+    make_hello(hello);
+    client_env.compute(client_ops.ns(costs_.primitives));
+    client_env.syscall(Sys::kSend, hello.size());
+    clock_.advance(bridge_ns(hello.size()));
+
+    server.env().syscall(Sys::kRecv, hello.size());
+    Bytes server_hello;
+    crypto::OpMeter server_ops;
+    const bool accepted = answer(ByteView(hello), server_hello);
+    server.env().compute(server_ops.ns(costs_.primitives));
+    if (!accepted) throw std::runtime_error("Bus: TLS handshake failed");
+    server.env().syscall(Sys::kSend, server_hello.size());
+    clock_.advance(bridge_ns(server_hello.size()));
+    client_env.syscall(Sys::kRecv, server_hello.size());
+    return server_hello;
+  };
+
   Connection conn;
 
   if (!resumption_ || target.issuer == nullptr) {
     // Legacy TLS handshake: ClientHello (with the client's ephemeral
-    // key and modeled cert payload) out, ServerHello/Finished back. Key
-    // agreement executes for real on both sides and is charged to each
-    // side's environment. This path is the bit-identity oracle: bytes,
-    // RNG draws and charges are frozen.
-    Bytes hello;
-    crypto::OpMeter client_ops;
-    conn.client.emplace(TlsSession::client_connect(
-        target.identity.key.public_key, rng_, hello));
-    client_env.compute(client_ops.ns(costs_.primitives));
-    client_env.syscall(Sys::kSend, hello.size());
-    clock_.advance(bridge_ns(hello.size()));
-
-    server.env().syscall(Sys::kRecv, hello.size());
-    Bytes server_hello;
-    crypto::OpMeter server_ops;
-    auto server_session =
-        TlsSession::server_accept(target.identity.key, hello, server_hello);
-    server.env().compute(server_ops.ns(costs_.primitives));
-    if (!server_session) {
-      throw std::runtime_error("Bus: TLS handshake failed");
-    }
-    conn.server.emplace(std::move(*server_session));
-    server.env().syscall(Sys::kSend, server_hello.size());
-    clock_.advance(bridge_ns(server_hello.size()));
-    client_env.syscall(Sys::kRecv, server_hello.size());
+    // key and modeled cert payload) out, ServerHello/Finished back.
+    // This path is the bit-identity oracle: bytes, RNG draws and
+    // charges are frozen.
+    hello_round_trip(
+        [&](Bytes& hello) {
+          conn.client.emplace(TlsSession::client_connect(
+              target.identity.key.public_key, rng_, hello));
+        },
+        [&](ByteView hello, Bytes& reply) {
+          conn.server =
+              TlsSession::server_accept(target.identity.key, hello, reply);
+          return conn.server.has_value();
+        });
     return conn;
   }
 
+  // Server side of both resumable hellos. A rejected ticket is still an
+  // answer: the reply tells the client to retry in full.
   const auto now_ns = static_cast<std::uint64_t>(clock_.now());
+  TlsSession::ServerAccept accept;
+  const auto answer_resumable = [&](ByteView hello, Bytes& reply) {
+    accept = TlsSession::server_accept_resumable(
+        target.identity.key, hello, *target.issuer, now_ns, rng_, reply);
+    return accept.session.has_value() || accept.retry_full;
+  };
+  std::optional<TlsSession::ClientHandshake> client;
 
   // Resumed handshake when a ticket for this (client, server) pair is
   // cached: zero scalar mults on both sides, fresh record keys from the
   // KDF, and a chained next ticket in the reply.
-  if (tickets != nullptr && !tickets->ticket.empty()) {
-    Bytes hello;
-    crypto::OpMeter client_ops;
-    auto resumed = TlsSession::client_resume(tickets->secret, tickets->ticket,
-                                             rng_, hello);
-    client_env.compute(client_ops.ns(costs_.primitives));
-    client_env.syscall(Sys::kSend, hello.size());
-    clock_.advance(bridge_ns(hello.size()));
-
-    server.env().syscall(Sys::kRecv, hello.size());
-    Bytes server_hello;
-    crypto::OpMeter server_ops;
-    auto accept = TlsSession::server_accept_resumable(
-        target.identity.key, hello, *target.issuer, now_ns, rng_,
-        server_hello);
-    server.env().compute(server_ops.ns(costs_.primitives));
-    server.env().syscall(Sys::kSend, server_hello.size());
-    clock_.advance(bridge_ns(server_hello.size()));
-    client_env.syscall(Sys::kRecv, server_hello.size());
-
+  if (!tickets->ticket.empty()) {
+    const Bytes reply = hello_round_trip(
+        [&](Bytes& hello) {
+          client.emplace(TlsSession::client_resume(
+              tickets->secret, tickets->ticket, rng_, hello));
+        },
+        answer_resumable);
     if (accept.resumed && accept.session) {
       counter_add("tls.resume.hit");
-      conn.client.emplace(std::move(resumed.session));
-      conn.server.emplace(std::move(*accept.session));
-      if (auto next = TlsSession::hello_ticket(server_hello)) {
+      conn.client.emplace(std::move(client->session));
+      conn.server = std::move(accept.session);
+      if (auto next = TlsSession::hello_ticket(reply)) {
         tickets->ticket = std::move(*next);
-        tickets->secret = resumed.resumption_secret;
+        tickets->secret = client->resumption_secret;
       } else {
         tickets->ticket.clear();  // defensive: never reuse a dead chain
       }
@@ -299,33 +308,17 @@ Bus::Connection Bus::open_connection(Attachment& target,
   // Full resumable handshake: first contact for this pair (or a
   // fallback). The server's reply carries the ticket that makes every
   // later contact scalar-mult-free.
-  Bytes hello;
-  crypto::OpMeter client_ops;
-  auto full = TlsSession::client_connect_resumable(
-      target.identity.key.public_key, rng_, hello, eph_pool_);
-  client_env.compute(client_ops.ns(costs_.primitives));
-  client_env.syscall(Sys::kSend, hello.size());
-  clock_.advance(bridge_ns(hello.size()));
-
-  server.env().syscall(Sys::kRecv, hello.size());
-  Bytes server_hello;
-  crypto::OpMeter server_ops;
-  auto accept = TlsSession::server_accept_resumable(
-      target.identity.key, hello, *target.issuer, now_ns, rng_, server_hello);
-  server.env().compute(server_ops.ns(costs_.primitives));
-  if (!accept.session) {
-    throw std::runtime_error("Bus: TLS handshake failed");
-  }
-  conn.server.emplace(std::move(*accept.session));
-  server.env().syscall(Sys::kSend, server_hello.size());
-  clock_.advance(bridge_ns(server_hello.size()));
-  client_env.syscall(Sys::kRecv, server_hello.size());
-  conn.client.emplace(std::move(full.session));
-  if (tickets != nullptr) {
-    if (auto ticket = TlsSession::hello_ticket(server_hello)) {
-      tickets->ticket = std::move(*ticket);
-      tickets->secret = full.resumption_secret;
-    }
+  const Bytes reply = hello_round_trip(
+      [&](Bytes& hello) {
+        client.emplace(TlsSession::client_connect_resumable(
+            target.identity.key.public_key, rng_, hello, eph_pool_));
+      },
+      answer_resumable);
+  conn.server = std::move(accept.session);
+  conn.client.emplace(std::move(client->session));
+  if (auto ticket = TlsSession::hello_ticket(reply)) {
+    tickets->ticket = std::move(*ticket);
+    tickets->secret = client->resumption_secret;
   }
   return conn;
 }
@@ -338,29 +331,26 @@ Bus::Exchange Bus::request(std::string_view from, std::string_view to,
     throw std::runtime_error("Bus: no server attached as '" +
                              std::string(to) + "'");
   }
-  // Intern the client label (keyed paths only) BEFORE taking the
-  // attachment reference: intern() may grow servers_ and reallocate.
-  // Resumption needs the key even for one-shot clients — the ticket
-  // cache outlives connections.
-  const bool keyed = keep_alive_ || resumption_;
-  std::uint64_t conn_key = 0;
-  if (keyed) conn_key = connection_key(intern(from), *to_id);
-  Attachment& target = servers_[*to_id];
-  Server& server = *target.server;
-  ExecutionEnv& client = client_env != nullptr ? *client_env : ambient_client_;
-  // Reference stays valid across open_connection: LRU nodes are stable
-  // until their own eviction, and this pair was just touched (MRU).
+  // Under resumption, intern the client label and find its ticket
+  // state (the cache outlives connections) BEFORE taking the attachment
+  // reference: intern() may grow servers_ and reallocate. The pointer
+  // stays valid across open_connection: LRU nodes are stable until
+  // their own eviction, and this pair was just touched (MRU).
   TicketState* tickets = nullptr;
   if (resumption_) {
-    tickets = tickets_.find(conn_key);
+    const std::uint64_t key = pair_key(intern(from), *to_id);
+    tickets = tickets_.find(key);
     if (tickets == nullptr) {
       const std::uint64_t before = tickets_.evictions();
-      tickets = &tickets_.insert(conn_key, TicketState{});
+      tickets = &tickets_.insert(key, TicketState{});
       if (tickets_.evictions() != before) {
         counter_add("bus.ticket.evict", tickets_.evictions() - before);
       }
     }
   }
+  Attachment& target = servers_[*to_id];
+  Server& server = *target.server;
+  ExecutionEnv& client = client_env != nullptr ? *client_env : ambient_client_;
 
   Exchange exchange;
   const sim::Nanos start = clock_.now();
@@ -374,32 +364,8 @@ Bus::Exchange Bus::request(std::string_view from, std::string_view to,
   client.compute(static_cast<sim::Nanos>(
       static_cast<double>(costs_.client_fixed_ns) * jitter()));
 
-  // Connection: cached under keep-alive, otherwise per-request. The
-  // one-shot path keeps the session on the stack — no key-pair strings,
-  // no map churn (virtual time is identical: map upkeep charges
-  // nothing, and every syscall below is unchanged).
-  Connection one_shot;
-  Connection* conn = nullptr;
-  if (keep_alive_) {
-    auto cit = connections_.find(conn_key);
-    if (cit == connections_.end()) {
-      cit = connections_
-                .emplace(conn_key, open_connection(target, client, tickets))
-                .first;
-    }
-    conn = &cit->second;
-  } else {
-    // Stale cached sessions (keep-alive toggled off mid-run) must not
-    // be reused later; the map is normally empty here. lookup() never
-    // interns, so one-shot client labels stay out of the id tables.
-    if (!connections_.empty()) {
-      if (const auto from_id = lookup(from)) {
-        connections_.erase(connection_key(*from_id, *to_id));
-      }
-    }
-    one_shot = open_connection(target, client, tickets);
-    conn = &one_shot;
-  }
+  // The request's own connection, closed again after the response.
+  Connection conn = open_connection(target, client, tickets);
 
   // Co-located delivery (DESIGN.md §18): client and server share one
   // address space and trust domain, so the request crosses as the
@@ -423,7 +389,7 @@ Bus::Exchange Bus::request(std::string_view from, std::string_view to,
     record = BufferPool::local().acquire(in_wire, TlsSession::kRecordHeader);
     req.serialize_into(record);
     crypto::OpMeter client_tls;
-    conn->client->protect_in_place(record);
+    conn.client->protect_in_place(record);
     client.compute(costs_.tls_record_fixed + client_tls.ns(costs_.primitives));
   }
   client.syscall(Sys::kSend, in_wire);
@@ -442,10 +408,8 @@ Bus::Exchange Bus::request(std::string_view from, std::string_view to,
   const sim::Nanos arrival = clock_.now();
   const ServiceQueue::Admission adm = server.queue().admit(arrival);
   if (!adm.accepted) {
-    if (!keep_alive_) {
-      client.syscall(Sys::kClose);
-      server.env().syscall(Sys::kClose);
-    }
+    client.syscall(Sys::kClose);
+    server.env().syscall(Sys::kClose);
     exchange.transport_ok = true;  // clean HTTP-level rejection
     return fail(503, "server saturated: queue full");
   }
@@ -455,7 +419,7 @@ Bus::Exchange Bus::request(std::string_view from, std::string_view to,
   // Server pipeline; the request record moves in, the response record
   // moves out — no copies cross the bridge.
   auto served = server.serve(std::move(record), colocated ? &req : nullptr,
-                             in_wire, *conn->server, clock_, rng_);
+                             in_wire, *conn.server, clock_, rng_);
   server.queue().complete(adm.worker, clock_.now());
   exchange.l_f = served.l_f;
   exchange.l_t = served.l_t;
@@ -482,7 +446,7 @@ Bus::Exchange Bus::request(std::string_view from, std::string_view to,
     // fallback for a response that was not wire-transparent.
     if (colocated) counter_add("bus.fastpath.fallback");
     crypto::OpMeter client_tls_in;
-    const bool resp_open = conn->client->unprotect_in_place(served.record_out);
+    const bool resp_open = conn.client->unprotect_in_place(served.record_out);
     client.compute(costs_.tls_record_fixed +
                    client_tls_in.ns(costs_.primitives));
     if (!resp_open) return fail(500, "record verify failed");
@@ -498,10 +462,8 @@ Bus::Exchange Bus::request(std::string_view from, std::string_view to,
     exchange.response = std::move(served.response);
   }
 
-  if (!keep_alive_) {
-    client.syscall(Sys::kClose);
-    server.env().syscall(Sys::kClose);
-  }
+  client.syscall(Sys::kClose);
+  server.env().syscall(Sys::kClose);
   exchange.transport_ok = true;
   exchange.response_ns = clock_.now() - start;
   return exchange;
@@ -512,14 +474,6 @@ std::optional<crypto::X25519Key> Bus::server_identity(
   const auto id = lookup(name);
   if (!id || servers_[*id].server == nullptr) return std::nullopt;
   return servers_[*id].identity.key.public_key;
-}
-
-void Bus::drop_connections(std::string_view server_name) {
-  const auto id = lookup(server_name);
-  if (!id) return;
-  std::erase_if(connections_, [to = *id](const auto& entry) {
-    return static_cast<std::uint32_t>(entry.first & 0xffffffffu) == to;
-  });
 }
 
 }  // namespace shield5g::net

@@ -209,25 +209,15 @@ class Bus {
   void detach(std::string_view name);
   Server* find(std::string_view name) noexcept;
 
-  /// Keep-alive policy: when false (the default, matching OAI's
-  /// one-shot libcurl clients), every request performs a TCP connect
-  /// plus TLS handshake and closes the connection afterwards.
-  void set_keep_alive(bool keep_alive) noexcept { keep_alive_ = keep_alive; }
-
   /// TLS session resumption: when enabled, every server attached from
   /// then on gets a TicketIssuer, handshakes switch to the resumable
   /// family, and the bus caches the latest ticket per (client, server)
-  /// pair — so even one-shot connections skip the scalar mults on every
-  /// contact after the first. MUST be set before attach() for the
+  /// pair — so the per-request connections skip the scalar mults on
+  /// every contact after the first. MUST be set before attach() for the
   /// issuer key draws to land; when left disabled (the default) the
   /// wire bytes and RNG stream are bit-identical to the legacy path.
   /// Counters: tls.resume.{hit,miss,reject} (never fed to digests).
-  void set_resumption(
-      bool enabled,
-      std::uint64_t ticket_lifetime_ns = TicketIssuer::kDefaultLifetimeNs) {
-    resumption_ = enabled;
-    ticket_lifetime_ns_ = ticket_lifetime_ns;
-  }
+  void set_resumption(bool enabled) noexcept { resumption_ = enabled; }
   bool resumption() const noexcept { return resumption_; }
 
   /// Default bound of the resumption-ticket cache: far above any
@@ -280,18 +270,17 @@ class Bus {
   };
 
   /// Performs one request from `from` (an arbitrary client label) to
-  /// the server attached as `to`. `client_env` charges the client-side
-  /// work; pass nullptr for an ambient host client.
+  /// the server attached as `to` over a connection of its own, as OAI's
+  /// one-shot libcurl clients do: TCP connect plus TLS handshake before
+  /// the request, close after the response. `client_env` charges the
+  /// client-side work; pass nullptr for an ambient host client.
   Exchange request(std::string_view from, std::string_view to,
                    const HttpRequest& req, ExecutionEnv* client_env = nullptr);
 
-  /// Drops cached connections to a server (server restart).
-  void drop_connections(std::string_view server_name);
-
  private:
   // Attached service names are interned to dense 32-bit ids once; from
-  // then on every request resolves servers and cached connections
-  // through id-keyed flat tables — no string-pair keys, no per-request
+  // then on every request resolves servers and resumption tickets
+  // through id-keyed tables — no string-pair keys, no per-request
   // temporary strings, no tree walks.
   struct Attachment {
     Server* server = nullptr;  // null = id known but nothing attached
@@ -307,7 +296,7 @@ class Bus {
   };
   /// Client-side resumption state per (from, to) pair: the latest
   /// ticket and the secret it binds. Outlives connections — this is
-  /// what lets OAI-style one-shot clients resume.
+  /// what lets one-shot clients resume.
   struct TicketState {
     Bytes ticket;
     Secret<32> secret;
@@ -315,18 +304,17 @@ class Bus {
 
   /// Id for `name`, creating one (and an empty attachment slot) if new.
   std::uint32_t intern(std::string_view name);
-  /// Id for `name` if it was ever interned; never inserts, so one-shot
-  /// client labels do not grow the tables.
+  /// Id for `name` if it was ever interned; never inserts, so client
+  /// labels only grow the tables under resumption.
   std::optional<std::uint32_t> lookup(std::string_view name) const noexcept;
-  static std::uint64_t connection_key(std::uint32_t from,
-                                      std::uint32_t to) noexcept {
+  static std::uint64_t pair_key(std::uint32_t from, std::uint32_t to) noexcept {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
 
   /// Opens one connection (TCP round trip + TLS handshake). With
-  /// resumption on, `tickets` (the cached per-pair state, may be null
-  /// on the ambient path) drives a resumed handshake when a ticket is
-  /// present and is updated with the freshly issued one; without
+  /// resumption on, `tickets` (the pair's cached state, null exactly
+  /// when resumption is off) drives a resumed handshake when a ticket
+  /// is present and is updated with the freshly issued one; without
   /// resumption this is the legacy byte-identical handshake.
   Connection open_connection(Attachment& target, ExecutionEnv& client_env,
                              TicketState* tickets);
@@ -342,19 +330,16 @@ class Bus {
   sim::VirtualClock& clock_;
   NetCosts costs_;
   Rng rng_;
-  bool keep_alive_ = false;
   bool fastpath_ = true;
   TrustDomain attach_domain_ = kIsolatedDomain;
   std::uint64_t fastpath_hits_ = 0;
   bool resumption_ = false;
-  std::uint64_t ticket_lifetime_ns_ = TicketIssuer::kDefaultLifetimeNs;
   crypto::EphemeralKeyPool* eph_pool_ = nullptr;
   FaultPlan faults_;
   std::uint64_t faults_injected_ = 0;
   std::deque<std::string> names_;  // stable storage behind ids_ keys
   std::unordered_map<std::string_view, std::uint32_t> ids_;
   std::vector<Attachment> servers_;  // indexed by interned id
-  std::unordered_map<std::uint64_t, Connection> connections_;
   /// Bounded LRU: TicketState nodes are pointer-stable until their own
   /// eviction, which is what lets a TicketState* ride through
   /// open_connection() while other pairs churn.

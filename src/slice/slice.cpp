@@ -30,7 +30,6 @@ Slice::Slice(SliceConfig config)
       machine_(clock_, config_.sgx_costs, config_.seed ^ 0x5658ULL),
       bus_(clock_, config_.net_costs, config_.seed ^ 0xb05ULL),
       cred_rng_(config_.seed ^ 0xc4edULL) {
-  bus_.set_keep_alive(config_.keep_alive);
   // Resumption must be armed before any attach() below so every server
   // gets a ticket issuer; the pool is seeded from the slice seed so a
   // sweep's digests stay reproducible at any worker count.

@@ -45,7 +45,6 @@ struct SliceConfig {
   /// Horizontal scaling of the heaviest module (paper §V-B7): the UDM
   /// round-robins AV generation across this many eUDM replicas.
   std::uint32_t eudm_replicas = 1;
-  bool keep_alive = false;             // SBI connection reuse
   /// TLS session resumption on the SBI bus: after the first contact
   /// between a (client, server) pair every handshake is ticket-based —
   /// zero scalar mults. Off by default: the legacy wire path stays the

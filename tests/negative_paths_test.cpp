@@ -19,7 +19,6 @@ class NegativeFixture : public ::testing::Test {
     slice::SliceConfig cfg;
     cfg.mode = slice::IsolationMode::kContainer;
     cfg.subscriber_count = 1;
-    cfg.keep_alive = true;
     slice_ = std::make_unique<slice::Slice>(cfg);
     slice_->create();
   }

@@ -325,17 +325,26 @@ TEST_F(BusFixture, DuplicateAttachRejected) {
   EXPECT_THROW(bus_.attach(dup), std::logic_error);
 }
 
-TEST_F(BusFixture, KeepAliveSkipsHandshakeCosts) {
-  // Without keep-alive every request pays connect + TLS handshake.
-  const auto first = bus_.request("client", "echo", echo_request());
-  const auto second = bus_.request("client", "echo", echo_request());
-
-  bus_.set_keep_alive(true);
-  const auto third = bus_.request("client", "echo", echo_request());
-  const auto fourth = bus_.request("client", "echo", echo_request());
-  // Fourth reuses the connection: visibly cheaper than a cold request.
-  EXPECT_LT(fourth.response_ns + 50 * sim::kMicrosecond, second.response_ns);
-  EXPECT_TRUE(first.transport_ok && third.transport_ok);
+TEST_F(BusFixture, EveryExchangePaysItsOwnHandshake) {
+  // One connection per request: nothing is amortized across exchanges.
+  // Each legacy handshake runs 3 X25519 ops (the client's fused
+  // keypair+shared counts 2, the server's shared 1), and identical
+  // exchanges execute identical record work.
+  std::vector<crypto::OpCounts> per_exchange;
+  for (int i = 0; i < 4; ++i) {
+    const crypto::OpCounts before = crypto::op_counts();
+    const auto exchange = bus_.request("client", "echo", echo_request());
+    per_exchange.push_back(crypto::op_counts() - before);
+    EXPECT_TRUE(exchange.transport_ok);
+    EXPECT_EQ(exchange.response.status, 200);
+  }
+  for (std::size_t i = 0; i < per_exchange.size(); ++i) {
+    EXPECT_EQ(per_exchange[i].x25519_ops, 3u) << "exchange " << i;
+    EXPECT_EQ(per_exchange[i].aes_blocks, per_exchange[0].aes_blocks)
+        << "exchange " << i;
+    EXPECT_EQ(per_exchange[i].sha256_blocks, per_exchange[0].sha256_blocks)
+        << "exchange " << i;
+  }
 }
 
 TEST_F(BusFixture, ServerStatsAccumulate) {
@@ -365,9 +374,7 @@ TEST_F(BusFixture, DetachThenRequestThrows) {
 }
 
 TEST_F(BusFixture, LargerPayloadCostsMore) {
-  bus_.set_keep_alive(true);
   HttpRequest small = echo_request();
-  bus_.request("client", "echo", small);  // warm the connection
   const sim::Nanos t0 = clock_.now();
   bus_.request("client", "echo", small);
   const sim::Nanos small_cost = clock_.now() - t0;
@@ -462,9 +469,8 @@ class FastpathWorld {
   };
 
   /// Runs `requests` back to back and captures every observable delta.
-  Outcome run(const std::vector<std::pair<std::string, HttpRequest>>& requests,
-              bool keep_alive) {
-    bus_.set_keep_alive(keep_alive);
+  Outcome run(
+      const std::vector<std::pair<std::string, HttpRequest>>& requests) {
     Outcome out;
     const sim::Nanos t0 = clock_.now();
     const crypto::OpCounts ops0 = crypto::op_counts();
@@ -529,27 +535,25 @@ HttpRequest parity_request(std::string body) {
   return req;
 }
 
-TEST(FastpathParity, ColdAndKeepAliveExchangesAreByteIdentical) {
+TEST(FastpathParity, OneShotExchangesAreByteIdentical) {
   std::vector<std::pair<std::string, HttpRequest>> plan;
   for (int i = 0; i < 3; ++i) {
     plan.emplace_back("echo", parity_request("{\"n\":" + std::to_string(i) +
                                              "}"));
   }
-  for (const bool keep_alive : {false, true}) {
-    FastpathWorld world_on(true);
-    FastpathWorld world_off(false);
-    const auto on = world_on.run(plan, keep_alive);
-    const auto off = world_off.run(plan, keep_alive);
-    expect_outcomes_equal(on, off);
-    EXPECT_EQ(world_on.observed().size(), 3u);
-    ASSERT_EQ(world_off.observed().size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_TRUE(world_on.observed()[i] == world_off.observed()[i])
-          << "handler saw different requests at " << i;
-    }
-    EXPECT_EQ(world_on.bus().fastpath_hits(), 3u);
-    EXPECT_EQ(world_off.bus().fastpath_hits(), 0u);
+  FastpathWorld world_on(true);
+  FastpathWorld world_off(false);
+  const auto on = world_on.run(plan);
+  const auto off = world_off.run(plan);
+  expect_outcomes_equal(on, off);
+  EXPECT_EQ(world_on.observed().size(), 3u);
+  ASSERT_EQ(world_off.observed().size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(world_on.observed()[i] == world_off.observed()[i])
+        << "handler saw different requests at " << i;
   }
+  EXPECT_EQ(world_on.bus().fastpath_hits(), 3u);
+  EXPECT_EQ(world_off.bus().fastpath_hits(), 0u);
 }
 
 TEST(FastpathParity, ManyHeadersAndLargeBodySurviveZeroCopy) {
@@ -565,8 +569,8 @@ TEST(FastpathParity, ManyHeadersAndLargeBodySurviveZeroCopy) {
   std::vector<std::pair<std::string, HttpRequest>> plan{{"echo", req}};
   FastpathWorld world_on(true);
   FastpathWorld world_off(false);
-  const auto on = world_on.run(plan, false);
-  const auto off = world_off.run(plan, false);
+  const auto on = world_on.run(plan);
+  const auto off = world_off.run(plan);
   expect_outcomes_equal(on, off);
   ASSERT_EQ(world_on.observed().size(), 1u);
   ASSERT_EQ(world_off.observed().size(), 1u);
@@ -589,8 +593,8 @@ TEST(FastpathParity, NonTransparentResponseFallsBackIdentically) {
       counter_value("bus.fastpath.fallback");
   FastpathWorld world_on(true);
   FastpathWorld world_off(false);
-  const auto on = world_on.run(plan, false);
-  const auto off = world_off.run(plan, false);
+  const auto on = world_on.run(plan);
+  const auto off = world_off.run(plan);
   expect_outcomes_equal(on, off);
   // The request leg was still zero-wire: the delivery counts as a hit,
   // and the response leg as a fallback.
@@ -609,8 +613,8 @@ TEST(FastpathParity, ShedRequestIsByteIdentical) {
   FastpathWorld world_off(false);
   world_on.saturate();
   world_off.saturate();
-  const auto on = world_on.run(plan, false);
-  const auto off = world_off.run(plan, false);
+  const auto on = world_on.run(plan);
+  const auto off = world_off.run(plan);
   expect_outcomes_equal(on, off);
   ASSERT_EQ(on.exchanges.size(), 1u);
   EXPECT_EQ(on.exchanges[0].response.status, 503);
@@ -642,7 +646,7 @@ TEST(FastpathParity, IneligibleWithoutSharedDomainOrWithFaults) {
   faulty.bus().set_fault_plan(plan_faults);
   std::vector<std::pair<std::string, HttpRequest>> plan{
       {"echo", parity_request("{}")}};
-  (void)faulty.run(plan, false);
+  (void)faulty.run(plan);
   EXPECT_EQ(faulty.bus().fastpath_hits(), 0u);
 }
 

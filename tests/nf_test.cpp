@@ -162,7 +162,6 @@ TEST_F(AkaCoreFixture, DeploymentsProduceIdenticalVectors) {
 class CoreFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    bus_.set_keep_alive(true);  // cheaper repeated calls in tests
     hn_key_ = crypto::x25519_keypair(rng_.bytes(32));
 
     udr_ = std::make_unique<Udr>(bus_);

@@ -385,15 +385,6 @@ TEST_F(ResumingBusFixture, WarmRequestsPerformZeroScalarMults) {
       << "warm registration-path exchange still performs scalar mults";
 }
 
-TEST_F(ResumingBusFixture, KeepAliveComposesWithResumption) {
-  bus_.set_keep_alive(true);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(bus_.request("client", "echo", echo_request()).transport_ok);
-  }
-  // Keep-alive caches the connection, so after the first handshake no
-  // further handshakes (resumed or full) run at all.
-}
-
 TEST_F(ResumingBusFixture, DetachReattachInvalidatesTicketsSilently) {
   // A "server restart" mints a fresh issuer master key: the client's
   // cached ticket fails the MAC, the bus falls back to a full handshake
