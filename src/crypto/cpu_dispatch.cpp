@@ -1,6 +1,7 @@
 #include "crypto/cpu_dispatch.h"
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
@@ -20,7 +21,17 @@ std::atomic<int> g_forced{0};
 struct CpuFeatures {
   bool aesni = false;
   bool shani = false;
+  bool avx512ifma = false;
 };
+
+#if defined(__x86_64__) || defined(__i386__)
+// XCR0 via xgetbv; only legal once CPUID reports OSXSAVE.
+std::uint64_t xcr0() noexcept {
+  std::uint32_t lo = 0, hi = 0;
+  __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(0));
+  return (static_cast<std::uint64_t>(hi) << 32) | lo;
+}
+#endif
 
 CpuFeatures detect_features() noexcept {
   CpuFeatures f;
@@ -31,8 +42,18 @@ CpuFeatures detect_features() noexcept {
     f.aesni = sse41 && (ecx & (1u << 25)) != 0;
     // The SHA-NI kernel also uses SSSE3 shuffles; leaf 1 ecx bit 9.
     const bool ssse3 = (ecx & (1u << 9)) != 0;
+    const bool osxsave = (ecx & (1u << 27)) != 0;
     if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
       f.shani = sse41 && ssse3 && (ebx & (1u << 29)) != 0;
+      // The IFMA ladder uses 256-bit vpmadd52 (IFMA+VL) and vpmullq
+      // (DQ+VL); AVX-512 state needs XCR0 opmask|ZMM_Hi256|Hi16_ZMM
+      // (bits 5-7) saved on top of YMM (bits 1-2).
+      const bool zmm_enabled = osxsave && (xcr0() & 0xe6) == 0xe6;
+      const bool avx512f = (ebx & (1u << 16)) != 0;
+      const bool avx512dq = (ebx & (1u << 17)) != 0;
+      const bool avx512vl = (ebx & (1u << 31)) != 0;
+      f.avx512ifma = zmm_enabled && avx512f && avx512dq && avx512vl &&
+                     (ebx & (1u << 21)) != 0;
     }
   }
 #endif
@@ -82,6 +103,7 @@ void clear_forced_backend() noexcept {
 
 bool cpu_has_aesni() noexcept { return features().aesni; }
 bool cpu_has_shani() noexcept { return features().shani; }
+bool cpu_has_avx512ifma() noexcept { return features().avx512ifma; }
 
 const char* backend_name(CryptoBackend backend) noexcept {
   return backend == CryptoBackend::kScalar ? "scalar" : "accel";

@@ -1,5 +1,5 @@
 // Runtime selection between the scalar reference kernels and the
-// hardware-accelerated ones (AES-NI, SHA extensions).
+// hardware-accelerated ones (AES-NI, SHA extensions, AVX-512 IFMA).
 //
 // The selection is wall-clock-only: both backends execute the same
 // primitive operations and increment the same op counters, so every
@@ -13,9 +13,9 @@ namespace shield5g::crypto {
 
 enum class CryptoBackend {
   kScalar,       // portable reference implementations
-  kAccelerated,  // AES-NI / SHA-NI kernels plus the fixed-point X25519
-                 // path; each kernel still falls back to scalar when the
-                 // host lacks its specific CPU feature
+  kAccelerated,  // AES-NI / SHA-NI kernels, the fixed-point X25519
+                 // comb and the IFMA ladder; each kernel still falls back
+                 // to scalar when the host lacks its specific CPU feature
 };
 
 /// The backend in effect for this call. Resolved once from CPUID and
@@ -29,8 +29,12 @@ void force_backend(CryptoBackend backend) noexcept;
 void clear_forced_backend() noexcept;
 
 /// Raw CPUID feature bits (false on non-x86 builds).
+/// cpu_has_avx512ifma also requires AVX512F/VL/DQ and the OS saving
+/// opmask + ZMM state (XCR0), covering the IFMA ladder's 256-bit
+/// vpmadd52/vpmullq forms.
 bool cpu_has_aesni() noexcept;
 bool cpu_has_shani() noexcept;
+bool cpu_has_avx512ifma() noexcept;
 
 /// Human-readable name for reports ("scalar" / "accel").
 const char* backend_name(CryptoBackend backend) noexcept;

@@ -16,6 +16,15 @@ bool all_digits(const std::string& s) {
   }
   return true;
 }
+
+// A SUCI's scheme id and Home Network Public Key Identifier: 1-3 plain
+// decimal digits (no sign, no trailing junk) with a value up to `max`.
+std::optional<int> small_field(const std::string& s, int max) {
+  if (s.size() > 3 || !all_digits(s)) return std::nullopt;
+  const int value = std::stoi(s);
+  if (value > max) return std::nullopt;
+  return value;
+}
 }  // namespace
 
 Bytes pack_digits(const std::string& digits) {
@@ -72,11 +81,13 @@ std::optional<Suci> Suci::from_string(const std::string& s) {
   suci.mcc = fields[2];
   suci.mnc = fields[3];
   suci.routing_indicator = fields[4];
+  // TS 23.003 §2.2B bounds the key identifier to 0..255.
+  const auto scheme = small_field(fields[5], 1);
+  const auto key_id = small_field(fields[6], 255);
+  if (!scheme || !key_id) return std::nullopt;
+  suci.scheme = static_cast<SuciScheme>(*scheme);
+  suci.hn_key_id = static_cast<std::uint8_t>(*key_id);
   try {
-    const int scheme = std::stoi(fields[5]);
-    if (scheme != 0 && scheme != 1) return std::nullopt;
-    suci.scheme = static_cast<SuciScheme>(scheme);
-    suci.hn_key_id = static_cast<std::uint8_t>(std::stoi(fields[6]));
     suci.scheme_output = hex_decode(fields[7]);
   } catch (const std::exception&) {
     return std::nullopt;

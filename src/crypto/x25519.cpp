@@ -202,14 +202,18 @@ const detail::CombTable* comb_lookup(ByteView u) {
   return nullptr;
 }
 
-// One scalar multiplication up to (not including) its final inversion,
-// taking the comb fast path when a table exists for `u`.
+// One scalar multiplication up to (not including) its final inversion:
+// the comb when a table exists for `u`, else the IFMA ladder when the
+// host runs it, else the 51-bit ladder. The scalar backend always takes
+// the 51-bit ladder.
 void mult_fraction(const std::uint8_t k[32], ByteView u, Fe& num, Fe& den) {
   const detail::CombTable* table =
       active_backend() == CryptoBackend::kAccelerated ? comb_lookup(u)
                                                       : nullptr;
   if (table != nullptr) {
     detail::comb_eval_fraction(*table, k, num, den);
+  } else if (detail::x25519_ladder_is_ifma()) {
+    detail::x25519_ifma_ladder_fraction(k, fe_load(u.data()), num, den);
   } else {
     ladder_fraction(k, u, num, den);
   }
@@ -297,6 +301,17 @@ X25519Key x25519_ladder(SecretView scalar, ByteView u) {
   X25519Key result = ladder(k, u);
   secure_zero(k, sizeof(k));
   return result;
+}
+
+void x25519_ladder_fraction(const std::uint8_t k[32], const std::uint8_t u[32],
+                            Fe& num, Fe& den) {
+  ladder_fraction(k, ByteView(u, 32), num, den);
+}
+
+bool x25519_ladder_is_ifma() noexcept {
+  // CPUID first: the kernel TU is only entered on hosts that run it.
+  static const bool ifma = cpu_has_avx512ifma() && x25519_ifma_compiled();
+  return ifma && active_backend() == CryptoBackend::kAccelerated;
 }
 
 X25519Key x25519_comb_forced(SecretView scalar, ByteView u) {

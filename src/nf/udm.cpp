@@ -39,6 +39,13 @@ std::optional<Supi> Udm::resolve_identity(const json::Value& body) {
   if (!suci_str) return std::nullopt;
   const auto suci = crypto::Suci::from_string(*suci_str);
   if (!suci) return std::nullopt;
+  // SIDF key selection (TS 33.501 §6.12.2): the SUCI names the home
+  // network key it was concealed to; an unknown identifier is refused
+  // before any private-key work.
+  if (suci->scheme != crypto::SuciScheme::kNull &&
+      suci->hn_key_id != config_.hn_key_id) {
+    return std::nullopt;
+  }
   // SIDF: the ECIES private-key operation executes for real and its
   // primitive costs land in this handler's L_F via the op counters.
   const auto supi =

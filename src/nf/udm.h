@@ -38,6 +38,7 @@ struct UdmConfig {
   AkaDeployment deployment = AkaDeployment::kExternal;
   /// Home-network ECIES key pair for SIDF (Profile A).
   crypto::X25519KeyPair hn_key{};
+  /// Identifier of hn_key; the SIDF refuses SUCIs that name another.
   std::uint8_t hn_key_id = 1;
   /// Seed of the UDM's RAND generator. A dedicated source keeps the
   /// challenge sequence independent of transport-level randomness, so

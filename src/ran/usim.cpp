@@ -22,15 +22,19 @@ Usim::Usim(UsimConfig config)
     : config_(std::move(config)), milenage_(make_milenage(config_)) {}
 
 crypto::Suci Usim::make_suci(ByteView ephemeral_random) const {
-  return crypto::conceal_supi(config_.plmn.mcc, config_.plmn.mnc,
-                              config_.msin, config_.suci_scheme,
-                              config_.hn_public, ephemeral_random);
+  crypto::Suci suci = crypto::conceal_supi(
+      config_.plmn.mcc, config_.plmn.mnc, config_.msin, config_.suci_scheme,
+      config_.hn_public, ephemeral_random);
+  suci.hn_key_id = config_.hn_key_id;
+  return suci;
 }
 
 crypto::Suci Usim::make_suci(const crypto::X25519KeyPair& ephemeral) const {
-  return crypto::conceal_supi(config_.plmn.mcc, config_.plmn.mnc,
-                              config_.msin, config_.suci_scheme,
-                              config_.hn_public, ephemeral);
+  crypto::Suci suci = crypto::conceal_supi(
+      config_.plmn.mcc, config_.plmn.mnc, config_.msin, config_.suci_scheme,
+      config_.hn_public, ephemeral);
+  suci.hn_key_id = config_.hn_key_id;
+  return suci;
 }
 
 AuthOutcome Usim::verify_challenge(ByteView rand, ByteView autn) {

@@ -25,7 +25,7 @@ struct UsimConfig {
   std::uint64_t sqn_ms = 0;  // highest accepted sequence number
   crypto::SuciScheme suci_scheme = crypto::SuciScheme::kProfileA;
   Bytes hn_public;   // home-network ECIES public key (Profile A)
-  std::uint8_t hn_key_id = 1;
+  std::uint8_t hn_key_id = 1;  // written into every SUCI: names hn_public
 };
 
 /// Successful challenge verification: RES and the session keys.

@@ -194,6 +194,32 @@ TEST(CtFlow, TaintIsScopedPerFunction) {
   EXPECT_EQ(count_rule(findings, "ct-flow"), 0);
 }
 
+TEST(CtFlow, SeedsX25519KernelScalarsByName) {
+  // The ladder's clamped scalar is a raw byte array the Secret type
+  // system cannot mark: the kernel's name seeds it. The same body under
+  // another name has no seed.
+  const std::string body =
+      "(const std::uint8_t k[32]) {\n"
+      "  const std::uint64_t k_t = k[31] & 1;\n"
+      "  if (k_t) return 1;\n"
+      "  return 0;\n"
+      "}\n";
+  EXPECT_TRUE(has(scan_source("x25519.cpp", "int ladder_fraction" + body),
+                  "ct-flow", 3));
+  EXPECT_EQ(count_rule(scan_source("x25519.cpp", "int parity" + body),
+                       "ct-flow"),
+            0);
+  // The comb's digits come from a call; its kernel seeds them too.
+  const auto comb = scan_source(
+      "x25519_comb.cpp",
+      "void comb_eval_fraction(const CombTable& t, const std::uint8_t* s) {\n"
+      "  std::int8_t digits[64];\n"
+      "  recode(s, digits);\n"
+      "  if (digits[0] == 3) return;\n"
+      "}\n");
+  EXPECT_TRUE(has(comb, "ct-flow", 4));
+}
+
 TEST(CtFlow, CtAuditedSuppressesAndIsCounted) {
   AuditCounts audits;
   const auto findings = analyze_source(

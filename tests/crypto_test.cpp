@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "crypto/aes128.h"
 #include "crypto/cost.h"
+#include "crypto/cpu_dispatch.h"
 #include "crypto/ecies.h"
 #include "crypto/hmac_sha256.h"
 #include "crypto/kdf.h"
@@ -16,6 +17,7 @@
 #include "crypto/sha256.h"
 #include "crypto/suci.h"
 #include "crypto/x25519.h"
+#include "crypto/x25519_internal.h"
 
 namespace shield5g::crypto {
 namespace {
@@ -403,6 +405,38 @@ TEST(X25519, Rfc7748DiffieHellman) {
             Bytes(shared_b.begin(), shared_b.end()));
 }
 
+TEST(X25519, Rfc7748IteratedVectors) {
+  // RFC 7748 §5.2: k = u = 9, then k, u <- X25519(k, u), k. Every u is
+  // a fresh point, so the accelerated backend runs the IFMA ladder (on
+  // hosts with it) and the scalar backend the 51-bit ladder, each
+  // against a published answer.
+  for (const auto backend :
+       {CryptoBackend::kScalar, CryptoBackend::kAccelerated}) {
+    force_backend(backend);
+    detail::x25519_cache_reset();
+    Bytes scalar(32, 0), u(32, 0);
+    scalar[0] = 9;
+    u[0] = 9;
+    for (int i = 1; i <= 1000; ++i) {
+      const auto r = x25519(scalar, u);
+      u = scalar;
+      scalar.assign(r.begin(), r.end());
+      if (i == 1) {
+        EXPECT_EQ(hex_encode(scalar),
+                  "422c8e7a6227d7bca1350b3e2bb7279f"
+                  "7897b87bb6854b783c60e80311ae3079")
+            << backend_name(backend);
+      }
+    }
+    EXPECT_EQ(hex_encode(scalar),
+              "684cf59ba83309552800ef566f2f4d3c"
+              "1c3887c49360e3875f2eb94d99532c51")
+        << backend_name(backend);
+  }
+  clear_forced_backend();
+  detail::x25519_cache_reset();
+}
+
 class X25519Agreement : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(X25519Agreement, BothSidesAgree) {
@@ -586,6 +620,22 @@ TEST(Suci, MalformedStringRejected) {
       Suci::from_string("suci-0-001-01-0000-9-1-aabb").has_value());
   EXPECT_FALSE(
       Suci::from_string("suci-0-001-01-0000-1-1-zzzz").has_value());
+  // Scheme id and key identifier: 1-3 plain digits, key id <= 255
+  // (TS 23.003 §2.2B). A lenient parse would read each of these as 1.
+  for (const char* bad :
+       {"suci-0-001-01-0000-1-257-aabb", "suci-0-001-01-0000-1-1x-aabb",
+        "suci-0-001-01-0000-1-+1-aabb", "suci-0-001-01-0000-1--aabb",
+        "suci-0-001-01-0000-1-0001-aabb", "suci-0-001-01-0000-1x-1-aabb",
+        "suci-0-001-01-0000-+1-1-aabb", "suci-0-001-01-0000- 1-1-aabb"}) {
+    EXPECT_FALSE(Suci::from_string(bad).has_value()) << bad;
+  }
+  const auto top = Suci::from_string("suci-0-001-01-0000-1-255-aabb");
+  ASSERT_TRUE(top.has_value());
+  EXPECT_EQ(top->hn_key_id, 255);
+  const auto zero = Suci::from_string("suci-0-001-01-0000-0-0-aabb");
+  ASSERT_TRUE(zero.has_value());
+  EXPECT_EQ(zero->hn_key_id, 0);
+  EXPECT_EQ(zero->scheme, SuciScheme::kNull);
 }
 
 TEST(Suci, TamperedSchemeOutputRejected) {

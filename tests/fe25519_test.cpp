@@ -7,7 +7,9 @@
 // fe_sub of such sums under 2^53.2, both safe as multiplier inputs.
 // These tests drive randomized limb patterns through every op and check
 // both halves of the contract — the numeric value (mod p, via the
-// oracle) and the output ranges.
+// oracle) and the output ranges — for the scalar backend and, through
+// the x25519_ifma test hooks, for the AVX-512 IFMA lane backend, whose
+// radix-2^43 domain (crypto/fe25519ifma.h) has its own range contract.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +17,9 @@
 #include <cstdint>
 
 #include "common/rng.h"
+#include "crypto/cpu_dispatch.h"
 #include "crypto/fe25519.h"
+#include "crypto/x25519_internal.h"
 
 namespace shield5g::crypto {
 namespace {
@@ -232,6 +236,137 @@ TEST(Fe25519, StoreCanonicalizesLooseLimbs) {
   for (int round = 0; round < 500; ++round) {
     const Fe a = random_limbs(rng, 54);
     ASSERT_EQ(fe_bytes(a), big_bytes(big_mod_p(big_from_fe(a))));
+  }
+}
+
+// ---------------------------------------------------------------------
+// The AVX-512 IFMA backend: six 43-bit limbs per lane, four lanes.
+// ---------------------------------------------------------------------
+
+bool ifma_testable() {
+  return cpu_has_avx512ifma() && detail::x25519_ifma_compiled();
+}
+
+TEST(Fe25519, IfmaMulMatchesScalarOnLooseInputs) {
+  if (!ifma_testable()) GTEST_SKIP() << "IFMA kernels unavailable";
+  Rng rng(0xFE255200ULL);
+  for (int round = 0; round < 200; ++round) {
+    Fe a[4], b[4], r[4];
+    for (int l = 0; l < 4; ++l) {
+      a[l] = random_limbs(rng, 54);
+      b[l] = random_limbs(rng, 54);
+    }
+    ASSERT_TRUE(detail::x25519_ifma_mul(a, b, r));
+    for (int l = 0; l < 4; ++l) {
+      expect_carried(r[l], "ifma mul");
+      ASSERT_EQ(fe_bytes(r[l]), fe_bytes(fe25519::fe_mul(a[l], b[l])))
+          << "round " << round << " lane " << l;
+      const Big expect =
+          big_mod_p(big_mul(big_from_fe(a[l]), big_from_fe(b[l])));
+      ASSERT_EQ(fe_bytes(r[l]), big_bytes(expect))
+          << "round " << round << " lane " << l;
+    }
+  }
+}
+
+using detail::IfmaOp;
+using detail::Limbs43;
+
+Big big_from_limbs43(const Limbs43& a) {
+  Big acc = big_zero();
+  for (int i = 0; i < 6; ++i) big_add_shifted(acc, a[i], 43 * i);
+  return acc;
+}
+
+std::array<std::uint8_t, 32> limbs43_bytes(const Limbs43& a) {
+  return big_bytes(big_mod_p(big_from_limbs43(a)));
+}
+
+Limbs43 splat43(std::uint64_t v) { return Limbs43{v, v, v, v, v, v}; }
+
+// mul4's carried output: h1 and h4 may end one above the 43-bit mask.
+constexpr std::uint64_t kCarried43 = (1ULL << 43) + 1;
+// sub4's documented ceiling, 2^45.6 (< 2^45 + 2^44.1).
+constexpr std::uint64_t kSubCeil43 = (1ULL << 45) + (1ULL << 44);
+
+void run_limbs(IfmaOp op, const Limbs43 a[4], const Limbs43 b[4],
+               Limbs43 r[4]) {
+  ASSERT_TRUE(detail::x25519_ifma_limbs(op, a, b, r));
+}
+
+TEST(Fe25519, IfmaAddSubMulSmallRangeEdges) {
+  if (!ifma_testable()) GTEST_SKIP() << "IFMA kernels unavailable";
+  // Lane 0 sits at the top of the carried domain, lane 1 at zero,
+  // lanes 2-3 are random carried values from mul4 itself.
+  Rng rng(0xFE255202ULL);
+  Limbs43 loose[4], carried[4], zero[4];
+  for (int l = 0; l < 4; ++l) {
+    zero[l] = splat43(0);
+    for (int i = 0; i < 6; ++i) loose[l][i] = rng.next() & ((1ULL << 46) - 1);
+  }
+  Limbs43 products[4];
+  run_limbs(IfmaOp::kMul, loose, loose, products);
+  carried[0] = splat43(kCarried43);
+  carried[1] = splat43(0);
+  carried[2] = products[2];
+  carried[3] = products[3];
+
+  // add4: two carried values stay under 2^44.1.
+  Limbs43 sum[4];
+  run_limbs(IfmaOp::kAdd, carried, carried, sum);
+  // sub4: a + 32p - b, both orders, never wraps below zero.
+  Limbs43 diff_ab[4], diff_ba[4];
+  run_limbs(IfmaOp::kSub, carried, zero, diff_ab);
+  run_limbs(IfmaOp::kSub, zero, carried, diff_ba);
+  // mul_small4 on sub4's largest outputs: the exact 121665x products
+  // (< 2^62.5) must survive carry6.
+  Limbs43 small[4];
+  run_limbs(IfmaOp::kMulSmall, diff_ab, zero, small);
+  for (int l = 0; l < 4; ++l) {
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_LE(sum[l][i], 2 * kCarried43) << "add lane " << l;
+      EXPECT_LT(diff_ab[l][i], kSubCeil43) << "sub lane " << l;
+      EXPECT_LT(diff_ba[l][i], kSubCeil43) << "sub lane " << l;
+      EXPECT_LE(small[l][i], kCarried43) << "mul_small lane " << l;
+    }
+    Big twice = big_from_limbs43(carried[l]);
+    for (int i = 0; i < 6; ++i) big_add_shifted(twice, carried[l][i], 43 * i);
+    EXPECT_EQ(limbs43_bytes(sum[l]), big_bytes(big_mod_p(twice)));
+    EXPECT_EQ(limbs43_bytes(diff_ab[l]), limbs43_bytes(carried[l]));
+    // diff_ba + a ≡ 0 (mod p).
+    Big back = big_from_limbs43(diff_ba[l]);
+    for (int i = 0; i < 6; ++i) big_add_shifted(back, carried[l][i], 43 * i);
+    EXPECT_EQ(big_bytes(big_mod_p(back)), big_bytes(big_zero()));
+    Big k121665 = big_zero();
+    k121665[0] = 121665;
+    EXPECT_EQ(limbs43_bytes(small[l]),
+              big_bytes(big_mod_p(
+                  big_mul(big_from_limbs43(diff_ab[l]), k121665))));
+  }
+}
+
+TEST(Fe25519, IfmaMulMatchesOracleAtLooseCeiling) {
+  if (!ifma_testable()) GTEST_SKIP() << "IFMA kernels unavailable";
+  // mul4's domain is limbs < 2^46: lane 0 at the ceiling, the rest
+  // random below it.
+  Rng rng(0xFE255203ULL);
+  for (int round = 0; round < 200; ++round) {
+    Limbs43 a[4], b[4], r[4];
+    a[0] = b[0] = splat43((1ULL << 46) - 1);
+    for (int l = 1; l < 4; ++l) {
+      for (int i = 0; i < 6; ++i) {
+        a[l][i] = rng.next() & ((1ULL << 46) - 1);
+        b[l][i] = rng.next() & ((1ULL << 46) - 1);
+      }
+    }
+    run_limbs(IfmaOp::kMul, a, b, r);
+    for (int l = 0; l < 4; ++l) {
+      for (int i = 0; i < 6; ++i) ASSERT_LE(r[l][i], kCarried43);
+      ASSERT_EQ(limbs43_bytes(r[l]),
+                big_bytes(big_mod_p(
+                    big_mul(big_from_limbs43(a[l]), big_from_limbs43(b[l])))))
+          << "round " << round << " lane " << l;
+    }
   }
 }
 

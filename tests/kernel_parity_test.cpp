@@ -6,13 +6,22 @@
 // results — published vectors for anchoring, random inputs for breadth.
 // On machines without AES-NI/SHA-NI the "accelerated" runs fall back to
 // scalar and the comparisons degenerate to self-consistency, so the
-// suite stays green in forced-fallback CI.
+// suite stays green in forced-fallback CI. The IFMA ladder's tests call
+// its kernel directly and skip where it cannot run; the digest-parity
+// CI stage fails if they skip on a host and compiler that support it.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/hex.h"
 #include "common/rng.h"
 #include "crypto/aes128.h"
 #include "crypto/cpu_dispatch.h"
+#include "crypto/fe25519.h"
 #include "crypto/hmac_sha256.h"
 #include "crypto/op_count.h"
 #include "crypto/sha256.h"
@@ -343,6 +352,104 @@ TEST(KernelParity, X25519OpCountsMatchAcrossBackends) {
   };
   EXPECT_EQ(count(CryptoBackend::kScalar), count(CryptoBackend::kAccelerated));
   detail::x25519_cache_reset();
+}
+
+// ---------------------------------------------------------------------
+// X25519: AVX-512 IFMA ladder vs 51-bit ladder
+// ---------------------------------------------------------------------
+
+bool ifma_ladder_runnable() {
+  return cpu_has_avx512ifma() && detail::x25519_ifma_compiled();
+}
+
+// Linux lists a CPU flag only when the CPU has the feature and the
+// kernel enabled its register state, so this is an oracle for CPUID +
+// XCR0 detection that does not share its code.
+bool cpuinfo_lists(const std::string& flag) {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("flags", 0) != 0) continue;
+    std::istringstream words(line);
+    std::string word;
+    while (words >> word) {
+      if (word == flag) return true;
+    }
+    return false;
+  }
+  return false;
+}
+
+Bytes clamped(Bytes k) {
+  k[0] &= 248;
+  k[31] &= 127;
+  k[31] |= 64;
+  return k;
+}
+
+std::array<std::uint8_t, 32> fe_bytes(const fe25519::Fe& a) {
+  std::array<std::uint8_t, 32> out{};
+  fe25519::fe_store(out.data(), a);
+  return out;
+}
+
+TEST(KernelParity, X25519IfmaLadderMatchesScalarLadder) {
+  if (!ifma_ladder_runnable()) GTEST_SKIP() << "IFMA ladder unavailable";
+  Rng rng(0x25519'06);
+  std::vector<Bytes> points;
+  // Edges: u = 0, 1, p - 1, p, p + 1, 2^256 - 1 (top bit masked on
+  // load, so 2^255 - 1 = p + 18) and the two order-8 points.
+  for (const char* hex :
+       {"0000000000000000000000000000000000000000000000000000000000000000",
+        "0100000000000000000000000000000000000000000000000000000000000000",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+        "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+        "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"}) {
+    points.push_back(h2b(hex));
+  }
+  // Random u-coordinates: about half land on the twist.
+  int twist = 0;
+  while (points.size() < 2000 + 8) {
+    points.push_back(rng.bytes(32));
+    if (twist < 16 && !detail::x25519_comb_liftable(points.back())) ++twist;
+  }
+  EXPECT_EQ(twist, 16);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const Bytes k = clamped(rng.bytes(32));
+    const Bytes& u = points[i];
+    fe25519::Fe n51, d51, n43, d43;
+    detail::x25519_ladder_fraction(k.data(), u.data(), n51, d51);
+    detail::x25519_ifma_ladder_fraction(k.data(), fe25519::fe_load(u.data()),
+                                        n43, d43);
+    ASSERT_EQ(fe_bytes(n43), fe_bytes(n51)) << "num, point " << i;
+    ASSERT_EQ(fe_bytes(d43), fe_bytes(d51)) << "den, point " << i;
+    const auto out = fe_bytes(fe25519::fe_mul(n43, fe25519::fe_invert(d43)));
+    const auto reference = detail::x25519_ladder(k, u);
+    ASSERT_EQ(hex_encode(out), hex_encode(reference)) << "point " << i;
+  }
+}
+
+TEST(KernelParity, X25519AcceleratedPathTakesIfmaLadder) {
+  // Without this, a CPUID/XCR0 regression would quietly route the
+  // accelerated backend to the 51-bit ladder, and every parity check
+  // above would compare that ladder with itself.
+  if (cpuinfo_lists("avx512ifma") && cpuinfo_lists("avx512vl") &&
+      cpuinfo_lists("avx512dq")) {
+    EXPECT_TRUE(cpu_has_avx512ifma());
+  }
+  EXPECT_FALSE(with_backend(CryptoBackend::kScalar,
+                           [] { return detail::x25519_ladder_is_ifma(); }));
+  const bool accel = with_backend(CryptoBackend::kAccelerated, [] {
+    return detail::x25519_ladder_is_ifma();
+  });
+  if (!ifma_ladder_runnable()) {
+    EXPECT_FALSE(accel);
+    GTEST_SKIP() << "IFMA ladder unavailable";
+  }
+  EXPECT_TRUE(accel);
 }
 
 // ---------------------------------------------------------------------

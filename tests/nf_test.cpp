@@ -322,6 +322,27 @@ TEST_F(CoreFixture, UdmRejectsBadSuci) {
   EXPECT_EQ(resp.response.status, 403);
 }
 
+TEST_F(CoreFixture, UdmSelectsHomeNetworkKeyById) {
+  // The SIDF holds key id 1 (UdmConfig default): a SUCI naming key 2
+  // is refused before de-concealment, the same SUCI naming key 1 passes.
+  crypto::Suci suci = crypto::conceal_supi(
+      "001", "01", "0000000001", crypto::SuciScheme::kProfileA,
+      hn_key_.public_key, rng_.bytes(32));
+  auto request = [&](std::uint8_t key_id) {
+    suci.hn_key_id = key_id;
+    json::Object body;
+    body["suci"] = suci.to_string();
+    body["servingNetworkName"] = snn_;
+    return bus_
+        .request("test", "udm",
+                 json_post("/nudm-ueau/v1/generate-auth-data",
+                           json::Value(std::move(body))))
+        .response.status;
+  };
+  EXPECT_EQ(request(2), 403);
+  EXPECT_EQ(request(1), 200);
+}
+
 TEST_F(CoreFixture, UdmAvIsVerifiableByUsim) {
   json::Object body;
   body["supi"] = record_.supi.value;

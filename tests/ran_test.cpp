@@ -114,6 +114,13 @@ TEST_F(UsimFixture, SuciConcealment) {
   // The MSIN must not appear in the scheme output.
   EXPECT_EQ(suci.to_string().find("0000000001"), std::string::npos);
   EXPECT_EQ(usim.supi(), "001010000000001");
+  // The SUCI names the home-network key the USIM concealed to.
+  EXPECT_EQ(suci.hn_key_id, 1);
+  UsimConfig keyed = cfg_;
+  keyed.hn_key_id = 7;
+  const crypto::Suci named = Usim(keyed).make_suci(rng_.bytes(32));
+  EXPECT_EQ(named.hn_key_id, 7);
+  EXPECT_EQ(named.to_string().rfind("suci-0-001-01-0000-1-7-", 0), 0u);
 }
 
 TEST(UeConceal, PoolBackedRegistrationCostsOneX25519Op) {

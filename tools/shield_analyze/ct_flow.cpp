@@ -6,7 +6,9 @@
 //
 // Model (per function, lexically delimited):
 //   seeds    declarations and parameters typed SecretBytes / SecretView
-//            / Secret<N>, and anything assigned from .unsafe_bytes().
+//            / Secret<N>, and anything assigned from .unsafe_bytes();
+//            plus, by function name, the raw-array scalars of the X25519
+//            kernels, which the Secret type system cannot mark.
 //   flow     `lhs = rhs` and compound assignments taint lhs when rhs
 //            mentions a tainted value; memcpy/memmove taint their
 //            destination. declassify() output is public (the audited
@@ -17,6 +19,7 @@
 // Escape hatch: `// ct-audited(<reason>)` on or above the line.
 #include <cstddef>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -34,6 +37,23 @@ const std::unordered_set<std::string>& secret_types() {
 /// Methods whose result is public even when called on a secret.
 bool public_method(const std::string& name) {
   return name == "size" || name == "empty" || name == "declassify";
+}
+
+/// X25519 kernels whose key material arrives as a plain byte array (the
+/// clamped scalar) or a value computed from it by a call that lexical
+/// taint cannot follow (the comb's signed digits). Seeding these names
+/// keeps secret-dependent control flow inside the kernels visible.
+const std::unordered_map<std::string, std::vector<std::string>>&
+kernel_secret_names() {
+  static const std::unordered_map<std::string, std::vector<std::string>>
+      kMap{
+          {"ladder_fraction", {"k"}},
+          {"x25519_ifma_ladder_fraction", {"k"}},
+          {"cswap_pairs", {"swap"}},
+          {"signed_digits", {"scalar32"}},
+          {"comb_eval_fraction", {"scalar32", "digits"}},
+      };
+  return kMap;
 }
 
 bool keyword(const std::string& t) {
@@ -58,9 +78,10 @@ std::size_t match_brace(const std::vector<Tok>& toks, std::size_t open) {
 /// through body close brace).
 class FunctionTaint {
  public:
-  FunctionTaint(const std::string& file, const std::vector<Tok>& toks,
-                std::size_t begin, std::size_t end)
-      : file_(file), toks_(toks), begin_(begin), end_(end) {}
+  FunctionTaint(const std::string& file, const std::string& name,
+                const std::vector<Tok>& toks, std::size_t begin,
+                std::size_t end)
+      : file_(file), name_(name), toks_(toks), begin_(begin), end_(end) {}
 
   void analyze(std::vector<Finding>& findings) {
     seed();
@@ -97,6 +118,10 @@ class FunctionTaint {
     for (std::size_t i = begin_; i <= end_ && i < toks_.size(); ++i) {
       const std::size_t decl = declared_ident(i);
       if (decl != 0) taint_.insert(normalize_ident(toks_[decl].text));
+    }
+    const auto it = kernel_secret_names().find(name_);
+    if (it != kernel_secret_names().end()) {
+      taint_.insert(it->second.begin(), it->second.end());
     }
   }
 
@@ -292,6 +317,7 @@ class FunctionTaint {
   }
 
   const std::string& file_;
+  std::string name_;
   const std::vector<Tok>& toks_;
   std::size_t begin_;
   std::size_t end_;
@@ -334,7 +360,8 @@ void run_ct_flow(const std::string& file, const std::vector<Tok>& toks,
     }
     if (j >= toks.size() || toks[j].text != "{") continue;
     const std::size_t body_end = match_brace(toks, j);
-    FunctionTaint(file, toks, i, body_end).analyze(findings);
+    FunctionTaint(file, normalize_ident(name.text), toks, i, body_end)
+        .analyze(findings);
     i = body_end;
   }
 }

@@ -53,6 +53,49 @@ void copy_then_branch(const SecretBytes& kausf, std::uint8_t* out) {
   }
 }
 
+// The X25519 kernels take the clamped scalar as a raw byte array (no
+// Secret type): ct-flow knows them by name and seeds the scalar, and in
+// the comb also the digits recoded from it by a call.
+void ladder_fraction(const std::uint8_t k[32], ByteView u, Fe& num, Fe& den) {
+  for (int t = 254; t >= 0; --t) {
+    const std::uint64_t k_t = (k[t / 8] >> (t % 8)) & 1;
+    if (k_t) {  // lint-expect(ct-flow)
+      step(num, den, u);
+    }
+  }
+}
+
+void x25519_ifma_ladder_fraction(const std::uint8_t k[32], const Fe& x1,
+                                 Fe& num, Fe& den) {
+  Fe4 lanes[2];
+  for (int t = 254; t >= 0; --t) {
+    const std::uint64_t bit = (k[t / 8] >> (t % 8)) & 1;
+    step4(lanes[bit], x1);  // lint-expect(ct-flow)
+  }
+}
+
+void signed_digits(const std::uint8_t* scalar32, std::int8_t out[64]) {
+  unsigned carry = 0;
+  for (int i = 0; i < 64; ++i) {
+    const unsigned v = ((scalar32[i / 2] >> (4 * (i & 1))) & 0xf) + carry;
+    carry = 0;
+    if (v >= 8) carry = 1;  // lint-expect(ct-flow)
+    out[i] = static_cast<std::int8_t>(v - (carry << 4));
+  }
+}
+
+void comb_eval_fraction(const CombTable& table, const std::uint8_t* scalar32,
+                        Fe& num, Fe& den) {
+  std::int8_t digits[64];
+  signed_digits(scalar32, digits);
+  for (int i = 0; i < 64; ++i) {
+    const std::uint64_t mag = magnitude(digits[i]);
+    if (mag == 3) continue;  // lint-expect(ct-flow)
+    const Niels* row = table.entry[i];
+    add(num, den, row[mag]);  // lint-expect(ct-flow)
+  }
+}
+
 int benign_uses(const SecretBytes& kamf, const sgx::EnclaveContext* ctx) {
   // Benign: the length of a secret is public.
   if (kamf.size() != 32) return -1;
