@@ -16,6 +16,7 @@
 #include "crypto/sha256.h"
 #include "crypto/suci.h"
 #include "crypto/x25519.h"
+#include "crypto/x25519_comb.h"
 #include "json/json.h"
 #include "net/bus.h"
 #include "net/env.h"
@@ -109,6 +110,24 @@ void BM_X25519Comb(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_X25519Comb);
+
+// The portable comb alone, pinned through its test hook whatever the
+// host runs: 64 flat-table selects and mixed additions, no inversion.
+void BM_X25519CombPortable(benchmark::State& state) {
+  Rng rng(5);
+  Bytes scalar = rng.bytes(32);
+  scalar[0] &= 248;
+  scalar[31] = (scalar[31] & 127) | 64;
+  const auto peer = crypto::x25519_keypair(rng.bytes(32));
+  const auto table = crypto::detail::comb_build(peer.public_key.data());
+  crypto::fe25519::Fe num, den;
+  for (auto _ : state) {
+    crypto::detail::comb_portable_fraction(*table, scalar.data(), num, den);
+    benchmark::DoNotOptimize(num);
+    benchmark::DoNotOptimize(den);
+  }
+}
+BENCHMARK(BM_X25519CombPortable);
 
 void BM_SuciConceal(benchmark::State& state) {
   Rng rng(6);

@@ -28,8 +28,9 @@
 #                             # (comb cache, stats registry)
 #   scripts/ci.sh digest-parity # bit-identity matrix: kernel_parity
 #                             # under both crypto backends (failing if
-#                             # the IFMA ladder's parity test skipped on
-#                             # a host and compiler that support it),
+#                             # the IFMA ladder's or comb's parity test
+#                             # skipped on a host and compiler that
+#                             # support them),
 #                             # then the scaling bench's per-case digests
 #                             # at 1 and 2 shard workers and with the
 #                             # scalar crypto backend, each diffed
@@ -150,19 +151,23 @@ case "$stage" in
     parity_log="$build/kernel_parity_accel.txt"
     SHIELD5G_CRYPTO_BACKEND=accel "$build/tests/kernel_parity_test" \
       | tee "$parity_log"
-    # The IFMA ladder must not go untested silently. On a host whose
-    # /proc/cpuinfo lists avx512ifma, built by a compiler that accepted
-    # -mavx512ifma, a skipped IFMA parity test means CPUID/XCR0
+    # The IFMA ladder and comb must not go untested silently. On a host
+    # whose /proc/cpuinfo lists avx512ifma, built by a compiler that
+    # accepted -mavx512ifma, a skipped IFMA parity test means CPUID/XCR0
     # detection regressed: the accelerated path would fall back to the
-    # 51-bit ladder with every other check green.
+    # 51-bit ladder and the portable comb with every other check green.
     if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null \
        && grep -qx 'SHIELD5G_COMPILER_HAS_MAVX512IFMA:INTERNAL=1' \
-            "$build/CMakeCache.txt" \
-       && grep -q '^\[  SKIPPED \] KernelParity\.X25519IfmaLadderMatchesScalarLadder' \
-            "$parity_log"; then
-      echo "digest-parity: IFMA host and compiler, but the IFMA ladder" \
-           "parity test was skipped" >&2
-      exit 1
+            "$build/CMakeCache.txt"; then
+      for parity_test in X25519IfmaLadderMatchesScalarLadder \
+                         X25519IfmaCombMatchesPortableComb; do
+        if grep -q "^\[  SKIPPED \] KernelParity\.$parity_test" \
+             "$parity_log"; then
+          echo "digest-parity: IFMA host and compiler, but" \
+               "KernelParity.$parity_test was skipped" >&2
+          exit 1
+        fi
+      done
     fi
     # Every wall-clock-only choice must be invisible in virtual time:
     # per-case digests (trace hashes, counters, latency sample bit

@@ -74,7 +74,6 @@ class Arena {
 
   /// Total bytes backing the arena (capacity, not fill).
   std::size_t bytes_reserved() const noexcept { return reserved_; }
-  std::size_t chunk_count() const noexcept { return chunks_.size(); }
 
   /// Frees every chunk; all views into the arena become dangling.
   void clear() {

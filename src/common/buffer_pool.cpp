@@ -79,21 +79,6 @@ void BufferPool::recycle(std::uint8_t* slab, std::uint8_t class_index) noexcept 
   ::operator delete(slab);
 }
 
-std::size_t BufferPool::free_slabs() const noexcept {
-  std::size_t n = 0;
-  for (const FreeList& list : free_) n += list.count;
-  return n;
-}
-
-void BufferPool::trim() {
-  for (FreeList& list : free_) {
-    for (std::size_t i = 0; i < list.count; ++i) {
-      ::operator delete(list.slabs[i]);
-    }
-    list.count = 0;
-  }
-}
-
 void BufferPool::publish_thread_stats() {
   BufferPool& pool = local();
   const Stats delta{pool.stats_.hits - pool.published_.hits,

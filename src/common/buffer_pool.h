@@ -164,11 +164,6 @@ class BufferPool {
   PooledBuffer acquire(std::size_t capacity, std::size_t headroom = 0);
 
   const Stats& stats() const noexcept { return stats_; }
-  /// Slabs currently cached, across all classes.
-  std::size_t free_slabs() const noexcept;
-
-  /// Drops every cached slab (tests use this to re-measure cold paths).
-  void trim();
 
   /// This thread's running totals (shortcut for local().stats()).
   static Stats thread_stats() { return local().stats_; }

@@ -131,19 +131,12 @@ inline Fe4 reduce12(const __m256i lo[12], const __m256i hi[12]) {
 
 }  // namespace internal
 
-/// Packs four 5x51 elements (limbs <= 2^52, i.e. carried or fe_load
-/// outputs) into the lane-sliced 6x43 form; outputs are carried. The
-/// slicing adds cross-limb pieces instead of OR-ing them, so loose
-/// 51-bit limbs (which overlap their neighbor's bit range) convert
-/// exactly.
-inline Fe4 fe4_from_lanes(const fe25519::Fe in[4]) {
-  __m256i a[5];
-#pragma GCC unroll 5
-  for (int i = 0; i < 5; ++i) {
-    a[i] = _mm256_set_epi64x(
-        static_cast<long long>(in[3][i]), static_cast<long long>(in[2][i]),
-        static_cast<long long>(in[1][i]), static_cast<long long>(in[0][i]));
-  }
+/// Repacks 5x51 limb vectors a[i] (lane l holding limb i of element l,
+/// every limb <= 2^52, i.e. carried or fe_load outputs) into the
+/// lane-sliced 6x43 form; outputs are carried. The slicing adds
+/// cross-limb pieces instead of OR-ing them, so loose 51-bit limbs
+/// (which overlap their neighbor's bit range) convert exactly.
+inline Fe4 fe4_from_limbs(const __m256i a[5]) {
   const __m256i m43 = fe4_set1(kMask43);
   Fe4 r;
   __m256i t, cy;
@@ -178,9 +171,24 @@ inline Fe4 fe4_from_lanes(const fe25519::Fe in[4]) {
   return r;
 }
 
+/// Packs four 5x51 elements (limbs <= 2^52) into the lane-sliced 6x43
+/// form; outputs are carried.
+inline Fe4 fe4_from_lanes(const fe25519::Fe in[4]) {
+  __m256i a[5];
+#pragma GCC unroll 5
+  for (int i = 0; i < 5; ++i) {
+    a[i] = _mm256_set_epi64x(
+        static_cast<long long>(in[3][i]), static_cast<long long>(in[2][i]),
+        static_cast<long long>(in[1][i]), static_cast<long long>(in[0][i]));
+  }
+  return fe4_from_limbs(a);
+}
+
 /// Unpacks carried lanes back to 5x51 (limbs <= 2^54, safe for fe_mul /
 /// fe_store). Bits of h[5] above its mask weigh 2^258 ≡ 152 and fold
-/// into limb 0.
+/// into limb 0. Limb 4 takes h[5]'s low 43 bits shifted up by 11, so it
+/// reaches 2^54: outside fe_sub's < 2^52 domain, where its 2p bias
+/// would wrap. Subtract in lanes, and carry, before unpacking.
 inline void fe4_to_lanes(const Fe4& v, fe25519::Fe out[4]) {
   const __m256i m43 = fe4_set1(kMask43);
   __m256i a[5];

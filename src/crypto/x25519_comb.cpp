@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "crypto/fe25519.h"
+#include "crypto/x25519_internal.h"
 
 namespace shield5g::crypto::detail {
 
@@ -21,17 +22,15 @@ struct Cached {
   Fe yplusx, yminusx, z, t2d;
 };
 
-// Affine precomputed form stored in the table: (y+x, y-x, 2d*x*y) with
-// Z = 1 implicit. Three field elements instead of four — the scan that
-// dominates comb_eval streams 25% fewer bytes, and the mixed addition
-// saves the Z multiplication.
+// Affine precomputed form of a table entry: (y+x, y-x, 2d*x*y) with
+// Z = 1 implicit. Three field elements instead of four — each entry is
+// 16 padded words instead of 20, so the scan streams 20% fewer bytes,
+// and the mixed addition saves the Z multiplication.
 struct Niels {
   Fe yplusx, yminusx, t2d;
 };
 
 Ext ext_identity() { return Ext{fe_zero(), fe_one(), fe_one(), fe_zero()}; }
-
-Niels niels_identity() { return Niels{fe_one(), fe_one(), fe_zero()}; }
 
 // Curve constants, computed once from first principles rather than
 // transcribed limb tables: d = -121665/121666, sqrt(-1) = 2^((p-1)/4)
@@ -144,12 +143,6 @@ bool lift(const std::uint8_t* u32, Ext& out) {
   return true;
 }
 
-void niels_cmov(Niels& f, const Niels& g, std::uint64_t move) {
-  fe_cmov(f.yplusx, g.yplusx, move);
-  fe_cmov(f.yminusx, g.yminusx, move);
-  fe_cmov(f.t2d, g.t2d, move);
-}
-
 // Recodes the 64 nibbles of a clamped scalar into signed digits in
 // [-8, 8] with the same radix-16 value. Halving the digit range halves
 // the table row the constant-time scan has to stream. Clamping keeps
@@ -166,15 +159,48 @@ void signed_digits(const std::uint8_t* scalar32, std::int8_t out[64]) {
   out[63] = static_cast<std::int8_t>(((scalar32[31] >> 4) & 0xf) + carry);
 }
 
+using Row = std::uint64_t[kCombRowEntries][kCombEntryWords];
+
+// Constant-time select of signed digit `digit`'s entry from one window
+// row: every entry is read and masked in or out (digit 0 leaves the
+// identity (1, 1, 0)), then a negative digit swaps y+x and y-x and
+// negates 2dxy under a mask. The 16-word mask-and-OR vectorizes at -O2,
+// and unrolled it keeps the selected words in registers.
+Niels comb_select(const Row& row, std::int64_t digit) {
+  const std::int64_t m = digit >> 63;  // arithmetic: all-ones when negative
+  const std::uint64_t mag = static_cast<std::uint64_t>((digit ^ m) - m);
+  const std::uint64_t neg = static_cast<std::uint64_t>(m) & 1;
+  std::uint64_t w[kCombEntryWords] = {};
+  for (std::uint64_t j = 1; j <= kCombRowEntries; ++j) {
+    const std::uint64_t diff = mag ^ j;
+    const std::uint64_t mask = ((diff | (0 - diff)) >> 63) - 1;  // mag == j
+#pragma GCC unroll 16
+    for (int k = 0; k < kCombEntryWords; ++k) w[k] |= mask & row[j - 1][k];
+  }
+  const std::uint64_t zero = ((mag | (0 - mag)) >> 63) ^ 1;  // mag == 0
+  w[0] |= zero;
+  w[1] |= zero;
+  Niels n;
+  for (int l = 0; l < 5; ++l) {
+    n.yplusx[l] = w[3 * l];
+    n.yminusx[l] = w[3 * l + 1];
+    n.t2d[l] = w[3 * l + 2];
+  }
+  fe_cswap(neg, n.yplusx, n.yminusx);
+  fe_cmov(n.t2d, fe_neg(n.t2d), neg);
+  return n;
+}
+
 }  // namespace
 
-// 64 nibble windows x signed digits 1..8; entry [i][j-1] = j * 16^i * P.
-// Digit 0 is the (implicit) identity and negative digits reuse the
-// positive entry with (y+x, y-x) swapped and t2d negated. Affine entries
-// keep the whole table at ~60 KiB — small enough that scanning a window
-// row stays in cache even with a working set of several tables.
+// 64 nibble windows x signed digits 1..8, in the flat layout of
+// x25519_internal.h. Digit 0 is the (implicit) identity and negative
+// digits reuse the positive entry with (y+x, y-x) swapped and 2dxy
+// negated. Affine entries keep the whole table at 64 KiB — small enough
+// that scanning a window row stays in cache even with a working set of
+// several tables.
 struct CombTable {
-  Niels entry[64][8];
+  Row entry[kCombWindows];
 };
 
 void CombTableDeleter::operator()(CombTable* t) const noexcept { delete t; }
@@ -216,42 +242,49 @@ CombTablePtr comb_build(const std::uint8_t* u32) {
     const Fe zinv = fe_mul(inv, (*prefix)[k]);
     inv = fe_mul(inv, (*pts)[k].z);
     const Ext& p = (*pts)[k];
-    Niels& n = table->entry[k / 8][k % 8];
-    n.yplusx = fe_mul(fe_add(p.y, p.x), zinv);
-    n.yminusx = fe_mul(fe_sub(p.y, p.x), zinv);
-    n.t2d = fe_mul(fe_mul(p.t, zinv), constants().d2);
+    const Fe yplusx = fe_mul(fe_add(p.y, p.x), zinv);
+    const Fe yminusx = fe_mul(fe_sub(p.y, p.x), zinv);
+    const Fe t2d = fe_mul(fe_mul(p.t, zinv), constants().d2);
+    std::uint64_t* w = table->entry[k / 8][k % 8];
+    for (int l = 0; l < 5; ++l) {
+      w[3 * l] = yplusx[l];
+      w[3 * l + 1] = yminusx[l];
+      w[3 * l + 2] = t2d[l];
+    }
+    w[kCombEntryWords - 1] = 0;
   }
   return table;
 }
 
 void comb_eval_fraction(const CombTable& table, const std::uint8_t* scalar32,
                         Fe& num, Fe& den) {
-  std::int8_t digits[64];
+  if (x25519_ladder_is_ifma()) {
+    comb_ifma_fraction(table, scalar32, num, den);
+  } else {
+    comb_portable_fraction(table, scalar32, num, den);
+  }
+}
+
+void comb_portable_fraction(const CombTable& table,
+                            const std::uint8_t* scalar32, Fe& num, Fe& den) {
+  std::int8_t digits[kCombWindows];
   signed_digits(scalar32, digits);
 
   Ext acc = ext_identity();
-  for (int i = 0; i < 64; ++i) {
-    const std::int64_t d = digits[i];
-    const std::int64_t m = d >> 63;  // arithmetic: all-ones when negative
-    const std::uint64_t mag = static_cast<std::uint64_t>((d ^ m) - m);
-    const std::uint64_t neg = static_cast<std::uint64_t>(m) & 1;
-    // Constant-time select: scan digits 1..8 (0 keeps the identity).
-    Niels sel = niels_identity();
-    for (std::uint64_t j = 1; j <= 8; ++j) {
-      const std::uint64_t diff = mag ^ j;
-      const std::uint64_t eq = 1 ^ ((diff | (0 - diff)) >> 63);
-      niels_cmov(sel, table.entry[i][j - 1], eq);
-    }
-    // Negate by swapping (y+x, y-x) and flipping t2d, both branch-free.
-    fe_cswap(neg, sel.yplusx, sel.yminusx);
-    const Fe nt2d = fe_neg(sel.t2d);
-    fe_cmov(sel.t2d, nt2d, neg);
-    acc = ext_madd(acc, sel);
+  for (int i = 0; i < kCombWindows; ++i) {
+    acc = ext_madd(acc, comb_select(table.entry[i], digits[i]));
   }
   // Back to Montgomery: u = (Z+Y)/(Z-Y), left as a fraction so callers
   // can batch the inversion across multiple evaluations.
   num = fe_add(acc.z, acc.y);
   den = fe_sub(acc.z, acc.y);
+}
+
+void comb_ifma_fraction(const CombTable& table, const std::uint8_t* scalar32,
+                        Fe& num, Fe& den) {
+  std::int8_t digits[kCombWindows];
+  signed_digits(scalar32, digits);
+  x25519_ifma_comb_fraction(&table.entry[0][0][0], digits, num, den);
 }
 
 void comb_eval(const CombTable& table, const std::uint8_t* scalar32,

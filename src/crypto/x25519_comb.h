@@ -23,7 +23,7 @@
 
 namespace shield5g::crypto::detail {
 
-struct CombTable;  // opaque; ~60 KiB, heap-allocated
+struct CombTable;  // opaque; 64 KiB, heap-allocated
 
 struct CombTableDeleter {
   void operator()(CombTable* t) const noexcept;
@@ -45,8 +45,19 @@ void comb_eval(const CombTable& table, const std::uint8_t* scalar32,
 /// comb_eval up to (but not including) the final field inversion:
 /// u = num/den. Lets callers that perform several scalar mults batch
 /// the inversions (Montgomery's trick) — den may be zero for the
-/// degenerate cases where comb_eval would canonicalize u to 0.
+/// degenerate cases where comb_eval would canonicalize u to 0. Runs
+/// the IFMA comb when x25519_ladder_is_ifma(), else the portable comb;
+/// both return the same (num, den) as field elements.
 void comb_eval_fraction(const CombTable& table, const std::uint8_t* scalar32,
+                        fe25519::Fe& num, fe25519::Fe& den);
+
+/// Test and benchmark hooks that pin one comb: the portable comb on any
+/// host (the reference), and the IFMA comb, which callers may enter
+/// only when cpu_has_avx512ifma() && x25519_ifma_compiled().
+void comb_portable_fraction(const CombTable& table,
+                            const std::uint8_t* scalar32, fe25519::Fe& num,
+                            fe25519::Fe& den);
+void comb_ifma_fraction(const CombTable& table, const std::uint8_t* scalar32,
                         fe25519::Fe& num, fe25519::Fe& den);
 
 }  // namespace shield5g::crypto::detail

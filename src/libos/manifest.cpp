@@ -18,10 +18,6 @@ Bytes Manifest::serialize() const {
   return out;
 }
 
-std::uint64_t Manifest::trusted_bytes() const noexcept {
-  return total_bytes(trusted_files);
-}
-
 void Manifest::validate() const {
   if (entrypoint.empty()) {
     throw std::invalid_argument("Manifest: missing loader.entrypoint");

@@ -30,9 +30,6 @@ struct Manifest {
   /// manifest change changes MRENCLAVE, as with real Gramine).
   Bytes serialize() const;
 
-  /// Total bytes of all trusted files.
-  std::uint64_t trusted_bytes() const noexcept;
-
   /// Sanity checks mirroring Gramine's loader: the paper observed that
   /// fewer than 4 threads or less than 512 MB EPC makes the P-AKA
   /// modules "behave inconsistently"; validate() enforces the same

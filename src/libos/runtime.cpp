@@ -111,10 +111,10 @@ sim::Nanos GramineRuntime::boot() {
   }
 
   booted_ = true;
-  boot_duration_ = machine_.clock().now() - start;
+  const sim::Nanos duration = machine_.clock().now() - start;
   S5G_LOG(LogLevel::kInfo, "libos")
-      << image_.name << " booted in " << sim::to_s(boot_duration_) << " s";
-  return boot_duration_;
+      << image_.name << " booted in " << sim::to_s(duration) << " s";
+  return duration;
 }
 
 void GramineRuntime::syscall(Sys sys, std::uint64_t bytes) {

@@ -48,7 +48,6 @@ class GramineRuntime {
   sim::Nanos boot();
 
   bool booted() const noexcept { return booted_; }
-  sim::Nanos boot_duration() const noexcept { return boot_duration_; }
 
   /// Application syscall through the interposition layer.
   void syscall(Sys sys, std::uint64_t bytes = 0);
@@ -85,7 +84,6 @@ class GramineRuntime {
   LibosCosts libos_costs_;
   sgx::Enclave* enclave_ = nullptr;  // owned by the machine
   bool booted_ = false;
-  sim::Nanos boot_duration_ = 0;
   std::uint32_t app_threads_ = 0;
 };
 

@@ -83,12 +83,4 @@ std::uint64_t boot_time_count(const std::vector<TrustedFile>& files) {
   return n;
 }
 
-std::uint64_t boot_time_bytes(const std::vector<TrustedFile>& files) {
-  std::uint64_t sum = 0;
-  for (const auto& f : files) {
-    if (f.boot_time) sum += f.size_bytes;
-  }
-  return sum;
-}
-
 }  // namespace shield5g::libos

@@ -46,6 +46,5 @@ Bytes file_set_digest(const std::vector<TrustedFile>& files);
 
 std::uint64_t total_bytes(const std::vector<TrustedFile>& files);
 std::uint64_t boot_time_count(const std::vector<TrustedFile>& files);
-std::uint64_t boot_time_bytes(const std::vector<TrustedFile>& files);
 
 }  // namespace shield5g::libos

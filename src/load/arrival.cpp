@@ -5,15 +5,6 @@
 
 namespace shield5g::load {
 
-const char* arrival_kind_name(ArrivalKind kind) noexcept {
-  switch (kind) {
-    case ArrivalKind::kPoisson: return "poisson";
-    case ArrivalKind::kUniform: return "uniform";
-    case ArrivalKind::kBurst: return "burst";
-  }
-  return "?";
-}
-
 std::vector<sim::Nanos> arrival_schedule(const ArrivalConfig& config,
                                          std::uint32_t count, Rng& rng) {
   if (config.rate_per_s <= 0.0) {

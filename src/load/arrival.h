@@ -22,8 +22,6 @@ enum class ArrivalKind {
              // the long-run rate matches `rate_per_s`
 };
 
-const char* arrival_kind_name(ArrivalKind kind) noexcept;
-
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::kPoisson;
   double rate_per_s = 100.0;      // long-run offered registrations/s

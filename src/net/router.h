@@ -62,8 +62,6 @@ class Router {
   /// benches): builds an aliasing view and dispatches through it.
   HttpResponse route(const HttpRequest& req) const;
 
-  std::size_t route_count() const noexcept { return routes_.size(); }
-
  private:
   struct Route {
     Method method;

@@ -80,7 +80,6 @@ std::optional<Bytes> Amf::start_authentication(UeContext& ctx) {
                    json_post("/nausf-auth/v1/ue-authentications",
                              json::Value(std::move(body))));
   if (auth.response.status != 201) {
-    ++auth_failures_;
     NasMessage reject;
     reject.type = NasType::kRegistrationReject;
     reject.set(NasIe::kCause,
@@ -171,7 +170,6 @@ std::optional<Bytes> Amf::on_auth_response(UeContext& ctx,
       crypto::derive_hxres_star(ctx.rand, res_star, kHxresStarBytes);
   env_.compute(ops.ns(bus_.costs().primitives));
   if (!ct_equal(hres_star, ctx.hxres_star)) {
-    ++auth_failures_;
     NasMessage reject;
     reject.type = NasType::kAuthenticationReject;
     return reject.encode();
@@ -189,7 +187,6 @@ std::optional<Bytes> Amf::on_auth_response(UeContext& ctx,
       conf_body ? conf_body->get_string("result") : std::nullopt;
   if (conf.response.status != 200 || !result ||
       *result != "AUTHENTICATION_SUCCESS") {
-    ++auth_failures_;
     NasMessage reject;
     reject.type = NasType::kAuthenticationReject;
     return reject.encode();
@@ -247,13 +244,11 @@ std::optional<Bytes> Amf::on_auth_failure(UeContext& ctx,
   }
   const auto cause = static_cast<NasCause>(msg.at(NasIe::kCause).at(0));
   if (cause != NasCause::kSynchFailure || !msg.has(NasIe::kAuts)) {
-    ++auth_failures_;
     NasMessage reject;
     reject.type = NasType::kAuthenticationReject;
     return reject.encode();
   }
   if (++ctx.auth_attempts > 2) {
-    ++auth_failures_;
     NasMessage reject;
     reject.type = NasType::kAuthenticationReject;
     return reject.encode();
@@ -269,7 +264,6 @@ std::optional<Bytes> Amf::on_auth_failure(UeContext& ctx,
                   json_post("/nausf-auth/v1/resync",
                             json::Value(std::move(resync))));
   if (res.response.status != 200) {
-    ++auth_failures_;
     NasMessage reject;
     reject.type = NasType::kAuthenticationReject;
     return reject.encode();

@@ -65,7 +65,6 @@ class Amf : public Vnf {
   std::uint64_t registrations_completed() const noexcept {
     return registrations_;
   }
-  std::uint64_t auth_failures() const noexcept { return auth_failures_; }
   std::uint64_t resyncs() const noexcept { return resyncs_; }
   /// Re-registrations resolved from a known GUTI (no fresh AKA run).
   std::uint64_t guti_reregistrations() const noexcept {
@@ -140,7 +139,6 @@ class Amf : public Vnf {
   std::uint64_t ng_setups_ = 0;
   std::uint32_t next_tmsi_ = 0x1000;
   std::uint64_t registrations_ = 0;
-  std::uint64_t auth_failures_ = 0;
   std::uint64_t resyncs_ = 0;
   std::uint64_t guti_reregistrations_ = 0;
   std::uint64_t identity_requests_ = 0;

@@ -35,8 +35,6 @@ class Ausf : public Vnf {
     config_.deployment = mode;
   }
 
-  std::uint64_t contexts_created() const noexcept { return next_ctx_id_; }
-
  private:
   struct AuthContext {
     Supi supi;

@@ -19,8 +19,6 @@ class Nrf : public Vnf {
  public:
   explicit Nrf(net::Bus& bus, const std::string& name = "nrf");
 
-  std::size_t registered_count() const noexcept { return profiles_.size(); }
-
  private:
   void register_routes();
 

@@ -163,7 +163,6 @@ sim::Nanos PakaService::deploy() {
   server_.reset_served();
   bus_.attach(server_);
   deployed_ = true;
-  on_deployed();
   S5G_LOG(LogLevel::kInfo, "paka")
       << name_ << " deployed (" << env().kind() << ") in "
       << sim::to_s(load_time) << " s";

@@ -137,8 +137,6 @@ class PakaService {
   virtual std::uint64_t request_alloc_pages() const = 0;
   /// Application image-layer size delta (differentiates Fig. 7 bars).
   virtual std::uint64_t app_extra_bytes() const { return 0; }
-  /// Hook invoked after the enclave is up (sealed provisioning etc.).
-  virtual void on_deployed() {}
 
   sgx::Machine& machine_;
   net::Bus& bus_;

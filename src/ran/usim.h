@@ -55,9 +55,6 @@ class Usim {
   std::string supi() const { return config_.plmn.id() + config_.msin; }
   std::uint64_t sqn_ms() const noexcept { return config_.sqn_ms; }
 
-  /// Override the stored SQN (used by tests to force a sync failure).
-  void set_sqn_ms(std::uint64_t sqn) noexcept { config_.sqn_ms = sqn; }
-
   /// Builds the SUCI for a registration attempt. `ephemeral_random`
   /// supplies the 32 ECIES ephemeral bytes.
   crypto::Suci make_suci(ByteView ephemeral_random) const;

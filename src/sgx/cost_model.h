@@ -33,8 +33,6 @@ struct CostModel {
   /// entry and exit instructions.
   std::uint64_t eenter_cycles = 6'500;
   std::uint64_t eexit_cycles = 6'500;
-  std::uint64_t eresume_cycles = 6'500;
-  std::uint64_t aex_cycles = 7'000;
 
   /// Simulated OS timer interrupt hitting resident enclave threads.
   /// Drives the workload-independent AEX counts of Table III.
@@ -92,15 +90,6 @@ struct CostModel {
   }
   sim::Nanos eenter_ns() const noexcept { return cycles_to_ns(eenter_cycles); }
   sim::Nanos eexit_ns() const noexcept { return cycles_to_ns(eexit_cycles); }
-  sim::Nanos eresume_ns() const noexcept {
-    return cycles_to_ns(eresume_cycles);
-  }
-  sim::Nanos aex_ns() const noexcept { return cycles_to_ns(aex_cycles); }
-
-  /// Virtual time for the crypto work recorded by the op counters.
-  sim::Nanos crypto_ns(const crypto::OpCounts& delta) const noexcept {
-    return primitives.ns_for(delta);
-  }
 };
 
 }  // namespace shield5g::sgx

@@ -30,7 +30,6 @@ std::uint64_t EpcRegion::fault_in(std::uint64_t n) noexcept {
   const std::uint64_t newly =
       std::min(n, pages_ - std::min(pages_, resident_pages_));
   resident_pages_ += newly;
-  faulted_total_ += newly;
   return newly;
 }
 

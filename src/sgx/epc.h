@@ -51,7 +51,6 @@ class EpcRegion {
   std::uint64_t size_bytes() const noexcept { return bytes_; }
   std::uint64_t total_pages() const noexcept { return pages_; }
   std::uint64_t resident_pages() const noexcept { return resident_pages_; }
-  std::uint64_t faulted_pages() const noexcept { return faulted_total_; }
 
   /// Marks `n` pages resident (preheat or demand fault); returns how
   /// many were actually newly faulted (the rest were already resident).
@@ -65,7 +64,6 @@ class EpcRegion {
   std::uint64_t bytes_;
   std::uint64_t pages_;
   std::uint64_t resident_pages_ = 0;
-  std::uint64_t faulted_total_ = 0;
 };
 
 }  // namespace shield5g::sgx

@@ -11,14 +11,31 @@
 
 namespace shield5g::sim {
 
+namespace {
+
+// A count spelled as plain decimal digits, saturated at `cap`; 0 for
+// anything else ("2x", "+3", " 3", "3 ", "1e3", ""), which the caller
+// treats like an unset variable.
+unsigned parse_count(const char* s, unsigned cap) noexcept {
+  if (*s == '\0') return 0;
+  unsigned value = 0;
+  for (; *s != '\0'; ++s) {
+    if (*s < '0' || *s > '9') return 0;
+    value = value * 10 + static_cast<unsigned>(*s - '0');
+    if (value > cap) value = cap;  // saturates before value * 10 overflows
+  }
+  return value;
+}
+
+}  // namespace
+
 unsigned shard_workers(unsigned requested) noexcept {
   // A hard ceiling so a typo'd env value cannot fork-bomb the host.
   constexpr unsigned kMaxWorkers = 256;
   unsigned resolved = requested;
   if (resolved == 0) {
     if (const char* env = std::getenv("SHIELD5G_SHARD_WORKERS")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed > 0) resolved = static_cast<unsigned>(parsed);
+      resolved = parse_count(env, kMaxWorkers);
     }
   }
   if (resolved == 0) resolved = std::thread::hardware_concurrency();

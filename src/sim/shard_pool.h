@@ -26,8 +26,9 @@
 namespace shield5g::sim {
 
 /// Resolves a worker count: `requested` if nonzero, else the
-/// SHIELD5G_SHARD_WORKERS environment variable (positive integer), else
-/// hardware_concurrency. Always returns at least 1.
+/// SHIELD5G_SHARD_WORKERS environment variable (a positive integer in
+/// plain decimal digits; any other value counts as unset), else
+/// hardware_concurrency. Always returns between 1 and 256.
 unsigned shard_workers(unsigned requested = 0) noexcept;
 
 class ShardPool {
@@ -63,7 +64,6 @@ class ShardPool {
  private:
   struct State;
   void worker_loop();
-  void work_batch();
 
   unsigned workers_ = 1;
   std::unique_ptr<State> state_;

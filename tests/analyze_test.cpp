@@ -218,6 +218,36 @@ TEST(CtFlow, SeedsX25519KernelScalarsByName) {
       "  if (digits[0] == 3) return;\n"
       "}\n");
   EXPECT_TRUE(has(comb, "ct-flow", 4));
+  // The IFMA comb takes the digits themselves, and its helpers one
+  // digit or its sign bit.
+  const auto lanes = scan_source(
+      "x25519_ifma.cpp",
+      "void x25519_ifma_comb_fraction(const std::uint64_t* t,\n"
+      "                               const std::int8_t digits[64]) {\n"
+      "  if (digits[0] == 3) return;\n"
+      "}\n"
+      "Fe4 comb_entry4(const __m256i v[4], std::uint64_t neg) {\n"
+      "  if (neg) return negate(v);\n"
+      "  return load(v);\n"
+      "}\n");
+  EXPECT_TRUE(has(lanes, "ct-flow", 3));
+  EXPECT_TRUE(has(lanes, "ct-flow", 6));
+}
+
+TEST(CtFlow, PreprocessorConditionDoesNotSwallowNamespace) {
+  // `defined(...)` followed by `namespace {` once read as one function
+  // spanning the whole namespace, so the seeded helper inside it went
+  // unseeded and its branch unflagged.
+  const auto findings = scan_source(
+      "x25519_ifma.cpp",
+      "#if defined(__AVX512IFMA__)\n"
+      "namespace {\n"
+      "void cswap_pairs(Fe4& x, std::uint64_t swap) {\n"
+      "  if (swap) flip(x);\n"
+      "}\n"
+      "}  // namespace\n"
+      "#endif\n");
+  EXPECT_TRUE(has(findings, "ct-flow", 4));
 }
 
 TEST(CtFlow, CtAuditedSuppressesAndIsCounted) {

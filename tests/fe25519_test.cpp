@@ -370,5 +370,91 @@ TEST(Fe25519, IfmaMulMatchesOracleAtLooseCeiling) {
   }
 }
 
+// Field ops on oracle values, reduced mod p.
+Big big_fadd(Big a, const Big& b) {
+  for (int i = 0; i < kBigWords; ++i) big_add_shifted(a, b[i], 64 * i);
+  return big_mod_p(a);
+}
+
+Big big_fsub(const Big& a, const Big& b) {
+  Big r = big_mod_p(a);
+  const Big p = big_p();
+  for (int i = 0; i < kBigWords; ++i) big_add_shifted(r, p[i], 64 * i);
+  big_sub(r, big_mod_p(b));
+  return big_mod_p(r);
+}
+
+Big big_fmul(const Big& a, const Big& b) { return big_mod_p(big_mul(a, b)); }
+
+TEST(Fe25519, IfmaCombWindowMatchesOracleAtCeiling) {
+  if (!ifma_testable()) GTEST_SKIP() << "IFMA kernels unavailable";
+  // The IFMA comb's lane chain for one window: the entry's flat words
+  // at fe4_from_limbs' 2^52 ceiling (above the carried 2^51 + eps a
+  // table holds) in half the rounds, a negative digit's 32p - 2dxy lane
+  // in every odd round, and in the first half each accumulator lane at
+  // mul4's carried ceiling or at zero (all 16 patterns), which drives
+  // Y-X and the final Z+Y / Z-Y to sub4's and add4's ceilings.
+  Rng rng(0xFE255204ULL);
+  constexpr std::uint64_t kEntryCeil = (1ULL << 52) - 1;
+  constexpr std::uint64_t kFeMulCeil = 1ULL << 54;
+  for (int round = 0; round < 200; ++round) {
+    Limbs43 acc[4];
+    for (int l = 0; l < 4; ++l) {
+      const std::uint64_t edge = (round >> l) & 1 ? kCarried43 : 0;
+      for (int i = 0; i < 6; ++i) {
+        acc[l][i] = round < 100 ? edge : rng.next() % (kCarried43 + 1);
+      }
+    }
+    std::uint64_t entry[detail::kCombEntryWords];
+    for (int w = 0; w + 1 < detail::kCombEntryWords; ++w) {
+      entry[w] = round % 4 < 2 ? kEntryCeil : rng.next() & kEntryCeil;
+    }
+    entry[detail::kCombEntryWords - 1] = 0;
+    const std::uint64_t neg = round & 1;
+
+    Limbs43 sum[4];
+    Fe zy[2];
+    ASSERT_TRUE(detail::x25519_ifma_comb_window(acc, entry, neg, sum, zy));
+
+    Fe ypx, ymx, t2d;
+    for (int i = 0; i < 5; ++i) {
+      ypx[i] = entry[3 * i];
+      ymx[i] = entry[3 * i + 1];
+      t2d[i] = entry[3 * i + 2];
+    }
+    Big q_ypx = big_from_fe(neg ? ymx : ypx);
+    Big q_ymx = big_from_fe(neg ? ypx : ymx);
+    Big q_t2d = big_from_fe(t2d);
+    if (neg) q_t2d = big_fsub(big_zero(), q_t2d);
+    const Big x = big_from_limbs43(acc[0]), y = big_from_limbs43(acc[1]);
+    const Big z = big_from_limbs43(acc[2]), t = big_from_limbs43(acc[3]);
+    const Big a = big_fmul(big_fadd(y, x), q_ypx);
+    const Big b = big_fmul(big_fsub(y, x), q_ymx);
+    const Big c = big_fmul(t, q_t2d);
+    const Big d = big_fadd(z, z);
+    const Big e = big_fsub(a, b), f = big_fsub(d, c);
+    const Big g = big_fadd(d, c), h = big_fadd(a, b);
+    const Big expect[4] = {big_fmul(e, f), big_fmul(g, h), big_fmul(f, g),
+                           big_fmul(e, h)};
+    for (int l = 0; l < 4; ++l) {
+      for (int i = 0; i < 6; ++i) ASSERT_LE(sum[l][i], kCarried43);
+      ASSERT_EQ(limbs43_bytes(sum[l]), big_bytes(expect[l]))
+          << "round " << round << " lane " << l;
+    }
+
+    // (Z+Y, Z-Y) leave the lanes inside fe_mul's domain, with the
+    // right values: fe_mul of the two matches the oracle's product.
+    for (int k = 0; k < 2; ++k) {
+      for (int i = 0; i < 5; ++i) ASSERT_LE(zy[k][i], kFeMulCeil);
+    }
+    const Big zpy = big_fadd(z, y), zmy = big_fsub(z, y);
+    ASSERT_EQ(fe_bytes(zy[0]), big_bytes(zpy)) << "round " << round;
+    ASSERT_EQ(fe_bytes(zy[1]), big_bytes(zmy)) << "round " << round;
+    ASSERT_EQ(fe_bytes(fe25519::fe_mul(zy[0], zy[1])),
+              big_bytes(big_fmul(zpy, zmy)))
+        << "round " << round;
+  }
+}
+
 }  // namespace
 }  // namespace shield5g::crypto

@@ -6,15 +6,17 @@
 // results — published vectors for anchoring, random inputs for breadth.
 // On machines without AES-NI/SHA-NI the "accelerated" runs fall back to
 // scalar and the comparisons degenerate to self-consistency, so the
-// suite stays green in forced-fallback CI. The IFMA ladder's tests call
-// its kernel directly and skip where it cannot run; the digest-parity
-// CI stage fails if they skip on a host and compiler that support it.
+// suite stays green in forced-fallback CI. The IFMA ladder's and comb's
+// tests call their kernels directly and skip where they cannot run; the
+// digest-parity CI stage fails if they skip on a host and compiler that
+// support them.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hex.h"
@@ -26,6 +28,7 @@
 #include "crypto/op_count.h"
 #include "crypto/sha256.h"
 #include "crypto/x25519.h"
+#include "crypto/x25519_comb.h"
 #include "crypto/x25519_internal.h"
 
 namespace shield5g::crypto {
@@ -355,7 +358,8 @@ TEST(KernelParity, X25519OpCountsMatchAcrossBackends) {
 }
 
 // ---------------------------------------------------------------------
-// X25519: AVX-512 IFMA ladder vs 51-bit ladder
+// X25519: AVX-512 IFMA ladder and comb vs the 51-bit ladder and the
+// portable comb
 // ---------------------------------------------------------------------
 
 bool ifma_ladder_runnable() {
@@ -429,6 +433,71 @@ TEST(KernelParity, X25519IfmaLadderMatchesScalarLadder) {
     const auto out = fe_bytes(fe25519::fe_mul(n43, fe25519::fe_invert(d43)));
     const auto reference = detail::x25519_ladder(k, u);
     ASSERT_EQ(hex_encode(out), hex_encode(reference)) << "point " << i;
+  }
+}
+
+// Clamped scalars at the signed recoding's edges: 0x00 gives 2^254,
+// the smallest (digit 0 in every window but the top); 0xff gives
+// 2^255 - 8, the largest (a carry out of every window, digit 0 in most
+// and +8, which only the top window can hold); every nibble 8 and the
+// alternating bytes 0x78/0x87 and 0x87/0x78 (digits -8 and -7, a carry
+// out of every window); every nibble 7 (digit 7, no carry).
+std::vector<Bytes> comb_edge_scalars() {
+  std::vector<Bytes> out;
+  for (const auto& [even, odd] :
+       std::vector<std::pair<std::uint8_t, std::uint8_t>>{
+           {0x00, 0x00}, {0xff, 0xff}, {0x88, 0x88}, {0x78, 0x87},
+           {0x87, 0x78}, {0x77, 0x77}}) {
+    Bytes k(32);
+    for (std::size_t i = 0; i < k.size(); ++i) k[i] = i % 2 ? odd : even;
+    out.push_back(clamped(k));
+  }
+  return out;
+}
+
+TEST(KernelParity, X25519IfmaCombMatchesPortableComb) {
+  if (!ifma_ladder_runnable()) GTEST_SKIP() << "IFMA comb unavailable";
+  // Tables for the base point, both RFC 7748 Diffie-Hellman public
+  // keys, and 16 random points that lift.
+  std::vector<Bytes> points = {
+      h2b("0900000000000000000000000000000000000000000000000000000000000000"),
+      h2b("8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a"),
+      h2b("de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f")};
+  std::vector<detail::CombTablePtr> tables;
+  for (const Bytes& u : points) {
+    tables.push_back(detail::comb_build(u.data()));
+    ASSERT_NE(tables.back(), nullptr);
+  }
+  Rng rng(0x25519'07);
+  while (tables.size() < 3 + 16) {
+    Bytes u = rng.bytes(32);
+    detail::CombTablePtr table = detail::comb_build(u.data());
+    if (!table) continue;  // twist point
+    points.push_back(std::move(u));
+    tables.push_back(std::move(table));
+  }
+
+  // Canonical num/den against the portable comb, output bytes against
+  // the 51-bit ladder.
+  auto check = [&](std::size_t t, const Bytes& k) {
+    fe25519::Fe np, dp, ni, di;
+    detail::comb_portable_fraction(*tables[t], k.data(), np, dp);
+    detail::comb_ifma_fraction(*tables[t], k.data(), ni, di);
+    ASSERT_EQ(fe_bytes(ni), fe_bytes(np)) << "num, point " << t;
+    ASSERT_EQ(fe_bytes(di), fe_bytes(dp)) << "den, point " << t;
+    const auto out = fe_bytes(fe25519::fe_mul(ni, fe25519::fe_invert(di)));
+    const auto reference = detail::x25519_ladder(k, points[t]);
+    ASSERT_EQ(hex_encode(out), hex_encode(reference)) << "point " << t;
+  };
+  const std::vector<Bytes> edges = comb_edge_scalars();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      ASSERT_NO_FATAL_FAILURE(check(t, edges[e])) << "edge scalar " << e;
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_NO_FATAL_FAILURE(check(i % tables.size(), clamped(rng.bytes(32))))
+        << "scalar " << i;
   }
 }
 

@@ -359,26 +359,27 @@ TEST(ShardWorkers, ExplicitRequestBeatsEnvironment) {
 }
 
 TEST(ShardWorkers, BadEnvironmentFallsBackToHardware) {
+  // Only plain decimal digits count: a trailing suffix, a sign,
+  // surrounding spaces or an exponent fall back exactly like "nope".
+  // Resolves the count only; no pool is built from these values.
   const unsigned hw = std::thread::hardware_concurrency();
   const unsigned expect = hw == 0 ? 1u : (hw < 256 ? hw : 256u);
-  {
-    ScopedEnv env("SHIELD5G_SHARD_WORKERS", "0");
-    EXPECT_EQ(shard_workers(), expect);
+  for (const char* value :
+       {"0", "nope", "2x", "+3", " 3", "3 ", "1e3", "", "-2"}) {
+    ScopedEnv env("SHIELD5G_SHARD_WORKERS", value);
+    EXPECT_EQ(shard_workers(), expect) << "value '" << value << "'";
   }
-  {
-    ScopedEnv env("SHIELD5G_SHARD_WORKERS", "nope");
-    EXPECT_EQ(shard_workers(), expect);
-  }
-  {
-    ScopedEnv env("SHIELD5G_SHARD_WORKERS", nullptr);
-    EXPECT_EQ(shard_workers(), expect);
-  }
+  ScopedEnv env("SHIELD5G_SHARD_WORKERS", nullptr);
+  EXPECT_EQ(shard_workers(), expect);
 }
 
 TEST(ShardWorkers, AbsurdCountsAreClamped) {
   ScopedEnv env("SHIELD5G_SHARD_WORKERS", "999999");
   EXPECT_EQ(shard_workers(), 256u);
   EXPECT_EQ(shard_workers(100000), 256u);
+  // Past any integer width: saturates rather than wrapping.
+  ScopedEnv huge("SHIELD5G_SHARD_WORKERS", "123456789012345678901234567890");
+  EXPECT_EQ(shard_workers(), 256u);
 }
 
 TEST(ShardPool, MapReturnsResultsInJobOrder) {

@@ -41,8 +41,9 @@ bool public_method(const std::string& name) {
 
 /// X25519 kernels whose key material arrives as a plain byte array (the
 /// clamped scalar) or a value computed from it by a call that lexical
-/// taint cannot follow (the comb's signed digits). Seeding these names
-/// keeps secret-dependent control flow inside the kernels visible.
+/// taint cannot follow (the comb's signed digits, one digit or its sign
+/// bit handed to a helper). Seeding these names keeps secret-dependent
+/// control flow inside the kernels visible.
 const std::unordered_map<std::string, std::vector<std::string>>&
 kernel_secret_names() {
   static const std::unordered_map<std::string, std::vector<std::string>>
@@ -52,6 +53,12 @@ kernel_secret_names() {
           {"cswap_pairs", {"swap"}},
           {"signed_digits", {"scalar32"}},
           {"comb_eval_fraction", {"scalar32", "digits"}},
+          {"comb_portable_fraction", {"scalar32", "digits"}},
+          {"comb_ifma_fraction", {"scalar32", "digits"}},
+          {"comb_select", {"digit"}},
+          {"x25519_ifma_comb_fraction", {"digits", "neg"}},
+          {"comb_select4", {"digit"}},
+          {"comb_entry4", {"neg"}},
       };
   return kMap;
 }
@@ -340,6 +347,12 @@ void run_ct_flow(const std::string& file, const std::vector<Tok>& toks,
     bool init_list = false;
     while (j < toks.size()) {
       const std::string& t = toks[j].text;
+      // `#if defined(X)` then `namespace {` is not a function: the
+      // namespace's functions must each get their own scope and seeds.
+      if (t == "namespace" || t == "struct" || t == "class" ||
+          t == "union" || t == "enum") {
+        break;
+      }
       if (t == "const" || t == "noexcept" || t == "override" ||
           t == "final" || t == "mutable" || t == "->" || t == "::" ||
           t == "<" || t == ">" || toks[j].ident) {

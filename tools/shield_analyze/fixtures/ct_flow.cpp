@@ -55,7 +55,7 @@ void copy_then_branch(const SecretBytes& kausf, std::uint8_t* out) {
 
 // The X25519 kernels take the clamped scalar as a raw byte array (no
 // Secret type): ct-flow knows them by name and seeds the scalar, and in
-// the comb also the digits recoded from it by a call.
+// the combs also the digits recoded from it by a call.
 void ladder_fraction(const std::uint8_t k[32], ByteView u, Fe& num, Fe& den) {
   for (int t = 254; t >= 0; --t) {
     const std::uint64_t k_t = (k[t / 8] >> (t % 8)) & 1;
@@ -94,6 +94,18 @@ void comb_eval_fraction(const CombTable& table, const std::uint8_t* scalar32,
     const Niels* row = table.entry[i];
     add(num, den, row[mag]);  // lint-expect(ct-flow)
   }
+}
+
+void x25519_ifma_comb_fraction(const std::uint64_t* table,
+                               const std::int8_t digits[64], Fe& num,
+                               Fe& den) {
+  Fe4 acc = identity4();
+  for (int i = 0; i < 64; ++i) {
+    const std::uint64_t* row = table + i * 8 * 16;
+    if (digits[i] == 0) continue;  // lint-expect(ct-flow)
+    acc = madd4(acc, load4(&row[16 * digits[i]]));  // lint-expect(ct-flow)
+  }
+  finish(acc, num, den);
 }
 
 int benign_uses(const SecretBytes& kamf, const sgx::EnclaveContext* ctx) {
