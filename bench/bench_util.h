@@ -6,6 +6,7 @@
 // values but can be reduced via argv[1] for quick runs.
 #pragma once
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -14,13 +15,25 @@
 
 namespace shield5g::bench {
 
-/// Parses the iteration count: argv[1] if given, else `def`.
+/// Parses the iteration count: argv[1] if given, else `def`. The count
+/// is plain decimal digits with a value from 1 to INT_MAX; anything else
+/// ("2x", "0", "+3", "-3", " 3", "4294967297") prints a usage line and
+/// exits 2 instead of silently running some other count.
 inline int iterations(int argc, char** argv, int def) {
-  if (argc > 1) {
-    const int n = std::atoi(argv[1]);
-    if (n > 0) return n;
+  if (argc < 2) return def;
+  const char* s = argv[1];
+  int n = 0;
+  bool ok = *s != '\0';
+  for (; ok && *s != '\0'; ++s) {
+    const int digit = *s - '0';
+    ok = digit >= 0 && digit <= 9 && n <= (INT_MAX - digit) / 10;
+    if (ok) n = n * 10 + digit;
   }
-  return def;
+  if (!ok || n == 0) {
+    std::fprintf(stderr, "usage: %s [iterations 1..%d]\n", argv[0], INT_MAX);
+    std::exit(2);
+  }
+  return n;
 }
 
 inline void heading(const std::string& title) {

@@ -325,10 +325,8 @@ void BM_BusRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_BusRoundTrip)->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------------------
-// Scheduler storage: push N events with colliding timestamps, then
-// drain. Exercises the near-term ring (monotone tail appends) and the
-// 4-ary heap (out-of-order inserts) together, at the two scales the
-// ISSUE pins: 1k (cache-resident) and 100k (past any LLC).
+// Scheduler heap: push N events with colliding timestamps, then drain,
+// at 1k (cache-resident) and 100k (past any LLC) pending events.
 // ---------------------------------------------------------------------
 
 void BM_SchedulerPushPop(benchmark::State& state) {
@@ -342,8 +340,7 @@ void BM_SchedulerPushPop(benchmark::State& state) {
     state.ResumeTiming();
     for (int i = 0; i < n; ++i) {
       lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-      // Mix of ring-friendly (monotone) and heap-bound (random past)
-      // instants, 3:1, mirroring the enqueue-soon-dominated sim load.
+      // Monotone and random-past instants, 3:1.
       const sim::Nanos when = (i % 4 != 0)
                                   ? static_cast<sim::Nanos>(i)
                                   : static_cast<sim::Nanos>((lcg >> 33) % 1000);

@@ -8,13 +8,14 @@
 # Additional stages, each in its own build directory so sanitizer and
 # lint artifacts never contaminate the tier-1 build:
 #
-#   scripts/ci.sh lint        # shield_analyze unit suites + fixture
-#                             # self-test (lint_test, analyze_test)
-#   scripts/ci.sh analyze     # all seven rule families over src/ bench/
-#                             # tests/ tools/, gated on the checked-in
-#                             # baseline (new findings only), JSON mode
-#                             # self-validated, audit-annotation counts
-#                             # and declassify call sites pinned
+#   scripts/ci.sh analyze     # shield_analyze unit suites (lint_test,
+#                             # analyze_test: ctest -L lint) and fixture
+#                             # self-test, then all seven rule families
+#                             # over src/ bench/ tests/ tools/, gated on
+#                             # the checked-in baseline (new findings
+#                             # only), JSON mode self-validated,
+#                             # audit-annotation counts and declassify
+#                             # call sites pinned
 #   scripts/ci.sh tidy        # clang-tidy over compile_commands.json
 #                             # with the repo .clang-tidy (concurrency-*
 #                             # included), gated on
@@ -35,9 +36,10 @@
 #                             # at 1 and 2 shard workers and with the
 #                             # scalar crypto backend, each diffed
 #                             # byte-for-byte against the default
-#                             # sequential reference (co-located fast
-#                             # path on vs off is the tier-1 Determinism
-#                             # suite's job)
+#                             # sequential reference, and the scalar
+#                             # pass against the checked-in golden file
+#                             # (co-located fast path on vs off is the
+#                             # tier-1 Determinism suite's job)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -45,20 +47,16 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 
 stage="${1:-}"
 case "$stage" in
-  lint)
+  analyze)
     build="${BUILD_DIR:-$repo/build-lint}"
     cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
     cmake --build "$build" --target shield_analyze lint_test analyze_test \
           -j "$jobs"
+    # The analyzer's own unit suites, then the fixture self-test: every
+    # seeded violation in every rule family must be flagged, nothing
+    # beyond them.
     ctest --test-dir "$build" --output-on-failure -L lint
-    ;;
-  analyze)
-    build="${BUILD_DIR:-$repo/build-lint}"
-    cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
-    cmake --build "$build" --target shield_analyze -j "$jobs"
     analyze="$build/tools/shield_analyze/shield_analyze"
-    # Fixture self-test first: every seeded violation in every rule
-    # family must be flagged, nothing beyond them.
     "$analyze" --self-test "$repo/tools/shield_analyze/fixtures"
     # Full-tree scan, relative paths so the baseline keys are portable.
     (cd "$repo" && "$analyze" --baseline tools/shield_analyze/baseline.txt \
@@ -74,7 +72,7 @@ case "$stage" in
     # silently: same discipline as the declassify pin below.
     counts="$(cd "$repo" && "$analyze" --audit-counts src bench \
               | grep -v ': clean')"
-    expected="$(printf 'ct-audited=5\ndet-audited=2\nlock-audited=0\nlint-audited=0')"
+    expected="$(printf 'ct-audited=3\ndet-audited=2\nlock-audited=0\nlint-audited=0')"
     if [ "$counts" != "$expected" ]; then
       echo "analyze: audited-annotation counts changed:" >&2
       diff <(echo "$expected") <(echo "$counts") >&2 || true
@@ -190,6 +188,11 @@ case "$stage" in
     for f in "$digests"_*.txt; do
       cmp "${digests}_default_seq.txt" "$f"
     done
+    # Across commits: the scalar pass must also equal the golden file
+    # that tier-1's golden_shard_scaling_smoke test holds the default
+    # backend to.
+    diff -u "$repo/tests/golden/shard_scaling_smoke.txt" \
+      "${digests}_scalar_seq.txt"
     echo "digest-parity: OK"
     ;;
   *)

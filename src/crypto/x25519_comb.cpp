@@ -3,6 +3,7 @@
 #include <array>
 #include <memory>
 
+#include "common/secret.h"
 #include "crypto/fe25519.h"
 #include "crypto/x25519_internal.h"
 
@@ -274,6 +275,8 @@ void comb_portable_fraction(const CombTable& table,
   for (int i = 0; i < kCombWindows; ++i) {
     acc = ext_madd(acc, comb_select(table.entry[i], digits[i]));
   }
+  // The digits recode the secret scalar, which x25519() wipes too.
+  secure_zero(digits, sizeof(digits));
   // Back to Montgomery: u = (Z+Y)/(Z-Y), left as a fraction so callers
   // can batch the inversion across multiple evaluations.
   num = fe_add(acc.z, acc.y);
@@ -285,6 +288,7 @@ void comb_ifma_fraction(const CombTable& table, const std::uint8_t* scalar32,
   std::int8_t digits[kCombWindows];
   signed_digits(scalar32, digits);
   x25519_ifma_comb_fraction(&table.entry[0][0][0], digits, num, den);
+  secure_zero(digits, sizeof(digits));
 }
 
 void comb_eval(const CombTable& table, const std::uint8_t* scalar32,

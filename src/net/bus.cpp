@@ -332,21 +332,12 @@ Bus::Exchange Bus::request(std::string_view from, std::string_view to,
                              std::string(to) + "'");
   }
   // Under resumption, intern the client label and find its ticket
-  // state (the cache outlives connections) BEFORE taking the attachment
+  // state (it outlives connections) BEFORE taking the attachment
   // reference: intern() may grow servers_ and reallocate. The pointer
-  // stays valid across open_connection: LRU nodes are stable until
-  // their own eviction, and this pair was just touched (MRU).
+  // stays valid across open_connection: map nodes never move.
   TicketState* tickets = nullptr;
   if (resumption_) {
-    const std::uint64_t key = pair_key(intern(from), *to_id);
-    tickets = tickets_.find(key);
-    if (tickets == nullptr) {
-      const std::uint64_t before = tickets_.evictions();
-      tickets = &tickets_.insert(key, TicketState{});
-      if (tickets_.evictions() != before) {
-        counter_add("bus.ticket.evict", tickets_.evictions() - before);
-      }
-    }
+    tickets = &tickets_[pair_key(intern(from), *to_id)];
   }
   Attachment& target = servers_[*to_id];
   Server& server = *target.server;

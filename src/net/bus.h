@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "common/buffer_pool.h"
-#include "common/lru_cache.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "crypto/cost.h"
@@ -220,23 +220,6 @@ class Bus {
   void set_resumption(bool enabled) noexcept { resumption_ = enabled; }
   bool resumption() const noexcept { return resumption_; }
 
-  /// Default bound of the resumption-ticket cache: far above any
-  /// deployed (client, server) pair count in this codebase, so the
-  /// bound only bites when an operator shrinks it.
-  static constexpr std::size_t kTicketCacheCapacity = 1024;
-
-  /// Bound on the per-(client, server) ticket cache. The default is
-  /// far above any deployed pair count, so existing runs never evict
-  /// (bit-identical virtual time); shrinking it exercises the LRU —
-  /// an evicted pair simply falls back to one full handshake. Counter:
-  /// bus.ticket.evict.
-  void set_ticket_capacity(std::size_t capacity) {
-    tickets_.set_capacity(capacity);
-  }
-  std::uint64_t ticket_evictions() const noexcept {
-    return tickets_.evictions();
-  }
-
   /// Ephemeral-key precompute pool consumed by the client side of full
   /// handshakes (nullptr = generate from the bus RNG, the legacy path).
   void set_eph_pool(crypto::EphemeralKeyPool* pool) noexcept {
@@ -340,10 +323,12 @@ class Bus {
   std::deque<std::string> names_;  // stable storage behind ids_ keys
   std::unordered_map<std::string_view, std::uint32_t> ids_;
   std::vector<Attachment> servers_;  // indexed by interned id
-  /// Bounded LRU: TicketState nodes are pointer-stable until their own
-  /// eviction, which is what lets a TicketState* ride through
-  /// open_connection() while other pairs churn.
-  LruCache<std::uint64_t, TicketState> tickets_{kTicketCacheCapacity};
+  /// One entry per (client, server) pair ever contacted under
+  /// resumption: a slice's VNF and P-AKA names plus the orchestrator,
+  /// so the map stays small without a bound. Map nodes are
+  /// pointer-stable, which is what lets a TicketState* ride through
+  /// open_connection().
+  std::map<std::uint64_t, TicketState> tickets_;
   HostEnv ambient_client_;
 };
 

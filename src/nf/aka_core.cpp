@@ -15,13 +15,7 @@ const Bytes kResyncAmf = {0x00, 0x00};
 HeAv generate_he_av(SecretView k, SecretView opc, ByteView rand,
                     ByteView sqn6, ByteView amf_field,
                     const std::string& snn) {
-  return generate_he_av(crypto::Milenage(k, opc), rand, sqn6, amf_field, snn);
-}
-
-HeAv generate_he_av(const crypto::Milenage& milenage, ByteView rand,
-                    ByteView sqn6, ByteView amf_field,
-                    const std::string& snn) {
-  const auto out = milenage.compute(rand, sqn6, amf_field);
+  const auto out = crypto::Milenage(k, opc).compute(rand, sqn6, amf_field);
 
   HeAv av;
   av.rand = Bytes(rand.begin(), rand.end());
@@ -48,12 +42,8 @@ SecretBytes derive_kamf_for(SecretView kseaf, const std::string& supi) {
 
 std::optional<Bytes> resync_verify(SecretView k, SecretView opc,
                                    ByteView rand, ByteView auts) {
-  return resync_verify(crypto::Milenage(k, opc), rand, auts);
-}
-
-std::optional<Bytes> resync_verify(const crypto::Milenage& milenage,
-                                   ByteView rand, ByteView auts) {
   if (auts.size() != 14) return std::nullopt;
+  const crypto::Milenage milenage(k, opc);
   const auto out = milenage.compute_f2345(rand);
 
   const Bytes sqn_ms = xor_bytes(take(auts, 6), out.ak_s);

@@ -23,12 +23,6 @@ namespace shield5g::nf {
 HeAv generate_he_av(SecretView k, SecretView opc, ByteView rand,
                     ByteView sqn6, ByteView amf_field, const std::string& snn);
 
-/// Same computation against an already-constructed MILENAGE context
-/// (the hot path: the AES key schedule for K is expanded once per
-/// subscriber, not once per authentication).
-HeAv generate_he_av(const crypto::Milenage& milenage, ByteView rand,
-                    ByteView sqn6, ByteView amf_field, const std::string& snn);
-
 /// AUSF-side: HXRES* (paper's 8-byte form) and K_SEAF.
 struct SeDerivation {
   Bytes hxres_star;    // kHxresStarBytes — protocol output
@@ -44,8 +38,6 @@ SecretBytes derive_kamf_for(SecretView kseaf, const std::string& supi);
 /// || MAC-S against f1*/f5* and recovers SQNms. Returns nullopt when
 /// MAC-S does not verify.
 std::optional<Bytes> resync_verify(SecretView k, SecretView opc,
-                                   ByteView rand, ByteView auts);
-std::optional<Bytes> resync_verify(const crypto::Milenage& milenage,
                                    ByteView rand, ByteView auts);
 
 /// UE-side helper shared with the USIM model: AUTS construction.

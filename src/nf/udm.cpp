@@ -1,7 +1,6 @@
 #include "nf/udm.h"
 
 #include "common/log.h"
-#include "common/stats.h"
 #include "crypto/suci.h"
 #include "nf/aka_core.h"
 #include "nf/sbi.h"
@@ -11,26 +10,8 @@ namespace shield5g::nf {
 Udm::Udm(net::Bus& bus, UdmConfig config)
     : Vnf(config.name, bus),
       config_(std::move(config)),
-      milenage_cache_(config_.milenage_cache_capacity),
       rand_rng_(config_.rand_seed) {
   register_routes();
-}
-
-const crypto::Milenage& Udm::milenage_for(const std::string& supi,
-                                          const SecretBytes& k,
-                                          const SecretBytes& opc) {
-  MilenageEntry* cached = milenage_cache_.find(supi);
-  // ct-audited(Secret operator== is ct_equal-backed; branch reveals only whether the cached Milenage context matches)
-  if (cached != nullptr && cached->k == k && cached->opc == opc) {
-    return cached->ctx;
-  }
-  const std::uint64_t before = milenage_cache_.evictions();
-  MilenageEntry& entry = milenage_cache_.insert(
-      supi, MilenageEntry{k, opc, crypto::Milenage(k, opc)});
-  if (milenage_cache_.evictions() != before) {
-    counter_add("udm.milenage.evict", milenage_cache_.evictions() - before);
-  }
-  return entry.ctx;
 }
 
 std::optional<Supi> Udm::resolve_identity(const json::Value& body) {
@@ -132,8 +113,7 @@ void Udm::register_routes() {
         } else {
           const auto k = secret_hex_bytes(*sub_body, "k");
           if (!k) return net::HttpResponse::error(500, "no key material");
-          av = generate_he_av(milenage_for(supi->value, *k, *opc), rand,
-                              *sqn, *amf_field, *snn);
+          av = generate_he_av(*k, *opc, rand, *sqn, *amf_field, *snn);
         }
         ++av_count_;
 
@@ -195,8 +175,7 @@ void Udm::register_routes() {
         } else {
           const auto k = secret_hex_bytes(*sub_body, "k");
           if (!k) return net::HttpResponse::error(500, "no key material");
-          sqn_ms = resync_verify(milenage_for(supi->value, *k, *opc),
-                                 *rand, *auts);
+          sqn_ms = resync_verify(*k, *opc, *rand, *auts);
         }
         if (!sqn_ms) {
           return net::HttpResponse::error(403, "AUTS verification failed");

@@ -12,9 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "common/lru_cache.h"
 #include "common/rng.h"
-#include "crypto/milenage.h"
 #include "crypto/x25519.h"
 #include "json/json.h"
 #include "nf/types.h"
@@ -44,12 +42,6 @@ struct UdmConfig {
   /// challenge sequence independent of transport-level randomness, so
   /// the same provisioning yields identical vectors across deployments.
   std::uint64_t rand_seed = 0xda7eb45eULL;
-  /// Bound on the per-subscriber MILENAGE context cache. Large enough
-  /// that every existing workload's working set fits (zero evictions,
-  /// bit-identical to the old unbounded map); small enough that a
-  /// million-subscriber serving shard cannot accrete one AES schedule
-  /// per subscriber ever authenticated.
-  std::size_t milenage_cache_capacity = 1024;
 };
 
 class Udm : public Vnf {
@@ -76,22 +68,7 @@ class Udm : public Vnf {
   /// de-concealment crypto to this VNF's environment.
   std::optional<Supi> resolve_identity(const json::Value& body);
 
-  /// Cached per-subscriber MILENAGE context (monolithic deployment):
-  /// the AES schedule for K is expanded once, then revalidated in
-  /// constant time against the credentials the UDR returned. Bounded
-  /// LRU (UdmConfig::milenage_cache_capacity); evictions land on the
-  /// udm.milenage.evict counter.
-  struct MilenageEntry {
-    SecretBytes k;
-    SecretBytes opc;
-    crypto::Milenage ctx;
-  };
-  const crypto::Milenage& milenage_for(const std::string& supi,
-                                       const SecretBytes& k,
-                                       const SecretBytes& opc);
-
   UdmConfig config_;
-  LruCache<std::string, MilenageEntry> milenage_cache_;
   Rng rand_rng_;
   std::uint64_t av_count_ = 0;
   std::uint64_t auth_events_ = 0;

@@ -1,7 +1,6 @@
 #include "paka/aka_udm.h"
 
 #include "common/log.h"
-#include "common/stats.h"
 #include "nf/aka_core.h"
 #include "nf/sbi.h"
 
@@ -9,29 +8,10 @@ namespace shield5g::paka {
 
 EudmAkaService::EudmAkaService(sgx::Machine& machine, net::Bus& bus,
                                PakaOptions options, const std::string& name)
-    : PakaService(name, machine, bus, options),
-      milenage_cache_(options.milenage_cache_capacity) {}
+    : PakaService(name, machine, bus, options) {}
 
 void EudmAkaService::provision_key(const nf::Supi& supi, SecretBytes k) {
   keys_[supi] = std::move(k);
-  milenage_cache_.erase(supi);
-}
-
-const crypto::Milenage& EudmAkaService::milenage_for(const nf::Supi& supi,
-                                                     const SecretBytes& k,
-                                                     const SecretBytes& opc) {
-  MilenageEntry* cached = milenage_cache_.find(supi);
-  // ct-audited(Secret operator== is ct_equal-backed; branch reveals only whether the cached Milenage context matches)
-  if (cached != nullptr && cached->opc == opc) {
-    return cached->ctx;
-  }
-  const std::uint64_t before = milenage_cache_.evictions();
-  MilenageEntry& entry = milenage_cache_.insert(
-      supi, MilenageEntry{opc, crypto::Milenage(k, opc)});
-  if (milenage_cache_.evictions() != before) {
-    counter_add("eudm.milenage.evict", milenage_cache_.evictions() - before);
-  }
-  return entry.ctx;
 }
 
 Bytes EudmAkaService::serialize_key_table(
@@ -82,7 +62,6 @@ bool EudmAkaService::provision_sealed(const sgx::SealedBlob& blob) {
   }
   if (pos != data.size()) return false;
   keys_ = std::move(parsed);
-  milenage_cache_.clear();
   return true;
 }
 
@@ -110,9 +89,8 @@ void EudmAkaService::register_routes() {
         if (key == keys_.end()) {
           return net::HttpResponse::error(404, "no key material for SUPI");
         }
-        const nf::HeAv av = nf::generate_he_av(
-            milenage_for(key->first, key->second, *opc), *rand, *sqn,
-            *amf_id, *snn);
+        const nf::HeAv av = nf::generate_he_av(key->second, *opc, *rand,
+                                               *sqn, *amf_id, *snn);
         json::Object out;
         out["rand"] = nf::hex_field(av.rand);
         out["autn"] = nf::hex_field(av.autn);
@@ -141,8 +119,8 @@ void EudmAkaService::register_routes() {
         if (key == keys_.end()) {
           return net::HttpResponse::error(404, "no key material for SUPI");
         }
-        const auto sqn_ms = nf::resync_verify(
-            milenage_for(key->first, key->second, *opc), *rand, *auts);
+        const auto sqn_ms =
+            nf::resync_verify(key->second, *opc, *rand, *auts);
         if (!sqn_ms) {
           return net::HttpResponse::error(403, "MAC-S verification failed");
         }

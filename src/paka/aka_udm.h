@@ -10,8 +10,6 @@
 
 #include <map>
 
-#include "common/lru_cache.h"
-#include "crypto/milenage.h"
 #include "nf/types.h"
 #include "paka/deployment.h"
 #include "sgx/sealing.h"
@@ -48,24 +46,7 @@ class EudmAkaService final : public PakaService {
   std::uint64_t app_extra_bytes() const override { return 2'600'000; }
 
  private:
-  /// Cached MILENAGE context for one subscriber: the AES schedule for K
-  /// is expanded once per provisioning, not once per authentication.
-  /// The OPc the context was built with is kept for constant-time
-  /// revalidation, since OPc arrives with each request. Bounded LRU
-  /// (PakaOptions::milenage_cache_capacity) — `keys_` is the
-  /// provisioned store and scales with the population; this is hot
-  /// state and must not. Evictions land on eudm.milenage.evict.
-  struct MilenageEntry {
-    SecretBytes opc;
-    crypto::Milenage ctx;
-  };
-
-  const crypto::Milenage& milenage_for(const nf::Supi& supi,
-                                       const SecretBytes& k,
-                                       const SecretBytes& opc);
-
   std::map<nf::Supi, SecretBytes> keys_;
-  LruCache<nf::Supi, MilenageEntry> milenage_cache_;
 };
 
 }  // namespace shield5g::paka

@@ -65,11 +65,6 @@ struct PakaOptions {
   std::uint32_t container_workers = 4;
   /// Bounded FIFO depth in front of the worker pool (0 = unbounded).
   std::uint32_t queue_capacity = 128;
-  /// Bound on the eUDM's per-subscriber MILENAGE context cache. Sized
-  /// so every existing workload's working set fits (zero evictions →
-  /// bit-identical to the old unbounded map) while a 1M-subscriber
-  /// serving shard stays at fixed residency.
-  std::uint32_t milenage_cache_capacity = 1024;
 
   /// Enclave worker threads left after the Gramine helpers.
   std::uint32_t sgx_workers() const noexcept {

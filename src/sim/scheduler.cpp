@@ -1,5 +1,6 @@
 #include "sim/scheduler.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -7,10 +8,6 @@
 #include "common/stats.h"
 
 namespace shield5g::sim {
-
-namespace {
-constexpr std::size_t kArity = 4;
-}  // namespace
 
 std::uint32_t Scheduler::acquire_slot(Task task) {
   if (!free_slots_.empty()) {
@@ -23,91 +20,34 @@ std::uint32_t Scheduler::acquire_slot(Task task) {
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-void Scheduler::push_heap(Entry entry) {
-  heap_.push_back(entry);
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kArity;
-    if (!before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-void Scheduler::note_pushed() {
-  ++pushed_;
-  const std::size_t now_pending = pending();
-  if (now_pending > peak_) peak_ = now_pending;
-}
-
 void Scheduler::at(Nanos when, Task task) {
   if (when < clock_.now()) {
     throw std::logic_error("Scheduler::at: instant in the past");
   }
-  const Entry entry{when, next_seq_++, acquire_slot(std::move(task))};
-  // Ring when the timestamp extends the tail (it almost always does:
-  // arrival schedules arrive sorted, engine continuations are scheduled
-  // at now + span while now is monotone); heap otherwise. Both parts
-  // stay individually sorted in pop order, so the merge in pop_next()
-  // reproduces the global (when, seq) order exactly.
-  if (ring_.empty() || !before(entry, ring_.back())) {
-    ring_.push_back(entry);
-  } else {
-    push_heap(entry);
-  }
-  note_pushed();
+  heap_.push_back(Entry{when, next_seq_++, acquire_slot(std::move(task))});
+  std::push_heap(heap_.begin(), heap_.end(), later);
+  ++pushed_;
+  if (heap_.size() > peak_) peak_ = heap_.size();
 }
 
 void Scheduler::reserve(std::size_t events) {
-  heap_.reserve(events / kArity + 16);
-  ring_.reserve(events + 16);
+  heap_.reserve(events + 16);
   slots_.reserve(events + 16);
   free_slots_.reserve(events + 16);
 }
 
-Scheduler::Entry Scheduler::pop_next() {
-  const bool have_ring = ring_head_ < ring_.size();
-  const bool have_heap = !heap_.empty();
-  const bool from_ring =
-      have_ring && (!have_heap || before(ring_[ring_head_], heap_.front()));
-  if (from_ring) {
-    const Entry front = ring_[ring_head_++];
-    if (ring_head_ == ring_.size()) {
-      ring_.clear();  // fully drained: recycle the storage in place
-      ring_head_ = 0;
-    } else if (ring_head_ >= 4096 && ring_head_ * 2 >= ring_.size()) {
-      // Compact once drained entries outnumber live ones, so ring
-      // memory tracks peak pending events, not the run's event total.
-      // The move cost is <= the pops since the last compaction —
-      // amortized O(1) per event.
-      ring_.erase(ring_.begin(),
-                  ring_.begin() + static_cast<std::ptrdiff_t>(ring_head_));
-      ring_head_ = 0;
-    }
-    ++popped_;
-    return front;
-  }
-  const Entry top = heap_.front();
-  // Standard d-ary pop: move the last entry to the root and sift down.
-  heap_.front() = heap_.back();
+void Scheduler::dispatch_next() {
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  const Entry ev = heap_.back();
   heap_.pop_back();
-  std::size_t i = 0;
-  const std::size_t n = heap_.size();
-  while (true) {
-    const std::size_t first_child = i * kArity + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t last_child =
-        first_child + kArity < n ? first_child + kArity : n;
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
-    }
-    if (!before(heap_[best], heap_[i])) break;
-    std::swap(heap_[i], heap_[best]);
-    i = best;
-  }
   ++popped_;
-  return top;
+  // Move the task out and free its slot before dispatch: the task may
+  // schedule more events and immediately reuse the slot.
+  Task task = std::move(slots_[ev.slot]);
+  slots_[ev.slot] = nullptr;
+  free_slots_.push_back(ev.slot);
+  clock_.advance_to(ev.when);
+  task();
 }
 
 void Scheduler::publish_counters() {
@@ -125,35 +65,13 @@ void Scheduler::run() {
   // bus stages subtract themselves out (exclusive-time semantics), so
   // what is left is queue upkeep plus the engine state machines.
   ScopedStage timer(HotStage::kScheduler);
-  while (!empty()) {
-    const Entry ev = pop_next();
-    // Move the task out and free its slot before dispatch: the task may
-    // schedule more events and immediately reuse the slot.
-    Task task = std::move(slots_[ev.slot]);
-    slots_[ev.slot] = nullptr;
-    free_slots_.push_back(ev.slot);
-    clock_.advance_to(ev.when);
-    task();
-  }
+  while (!empty()) dispatch_next();
   publish_counters();
 }
 
 void Scheduler::run_until(Nanos deadline) {
   ScopedStage timer(HotStage::kScheduler);
-  while (!empty()) {
-    const bool have_ring = ring_head_ < ring_.size();
-    const Nanos next =
-        have_ring && (heap_.empty() || before(ring_[ring_head_], heap_.front()))
-            ? ring_[ring_head_].when
-            : heap_.front().when;
-    if (next > deadline) break;
-    const Entry ev = pop_next();
-    Task task = std::move(slots_[ev.slot]);
-    slots_[ev.slot] = nullptr;
-    free_slots_.push_back(ev.slot);
-    clock_.advance_to(ev.when);
-    task();
-  }
+  while (!empty() && heap_.front().when <= deadline) dispatch_next();
   clock_.advance_to(deadline);
   publish_counters();
 }

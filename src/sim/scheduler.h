@@ -8,19 +8,12 @@
 //
 // Event ordering contract: events fire in (timestamp, FIFO) order — a
 // global sequence number breaks every same-instant tie in insertion
-// order. The structure behind the contract is a two-part queue:
-//
-//  * an indexed 4-ary min-heap of POD {when, seq, slot} entries keyed
-//    on (when, seq). Tasks live in a separate slot vector with a free
-//    list, so sift-up/down moves 16-byte PODs instead of std::function
-//    objects, and reserve() pre-sizes both arrays for a whole slice run;
-//  * a near-term event ring for the dominant append-in-time-order
-//    pattern (arrival schedules are drawn sorted; engine continuations
-//    land at now + elapsed while the clock is monotone). An at() whose
-//    timestamp is >= the ring's tail is appended in O(1); the ring is
-//    therefore sorted by construction and pop merges ring front against
-//    heap top by (when, seq) — provably the same total order a single
-//    priority queue would produce, at a fraction of the comparisons.
+// order. (when, seq) is therefore a unique total order, and one binary
+// heap of POD {when, seq, slot} entries, kept by std::push_heap /
+// std::pop_heap, pops in exactly that order. Tasks live in a separate
+// slot vector with a free list, so heap moves shift 24-byte PODs
+// instead of std::function objects, and reserve() pre-sizes both for
+// a whole slice run.
 //
 // Counters (wall-path observability, never fed to digests):
 // scheduler.events.{pushed,popped} accumulate per drain;
@@ -47,7 +40,7 @@ class Scheduler {
   /// Schedules `task` to run `delay` after the current instant.
   void after(Nanos delay, Task task) { at(clock_.now() + delay, task); }
 
-  /// Pre-sizes the heap, ring and task-slot storage for about `events`
+  /// Pre-sizes the heap and task-slot storage for about `events`
   /// concurrently pending events (one slice run's arrival schedule).
   void reserve(std::size_t events);
 
@@ -59,37 +52,33 @@ class Scheduler {
   /// to `deadline` (events scheduled later stay queued).
   void run_until(Nanos deadline);
 
-  bool empty() const noexcept { return pending() == 0; }
-  std::size_t pending() const noexcept {
-    return heap_.size() + (ring_.size() - ring_head_);
-  }
+  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t pending() const noexcept { return heap_.size(); }
 
   VirtualClock& clock() noexcept { return clock_; }
 
  private:
-  /// POD heap/ring entry; the task lives in slots_[slot].
+  /// POD heap entry; the task lives in slots_[slot].
   struct Entry {
     Nanos when;
     std::uint64_t seq;  // tie-break: FIFO among same-instant events
     std::uint32_t slot;
   };
-  static bool before(const Entry& a, const Entry& b) noexcept {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
+  /// Heap comparator. The std heap algorithms keep the greatest element
+  /// at the front, so "later in (when, seq)" is "less" here.
+  static bool later(const Entry& a, const Entry& b) noexcept {
+    if (a.when != b.when) return a.when > b.when;
+    return a.seq > b.seq;
   }
 
   std::uint32_t acquire_slot(Task task);
-  void push_heap(Entry entry);
-  /// Removes and returns the globally next entry (ring front vs heap
-  /// top). Pre: !empty().
-  Entry pop_next();
-  void note_pushed();
+  /// Pops the earliest entry, frees its slot, advances the clock to its
+  /// instant and runs its task. Pre: !empty().
+  void dispatch_next();
   void publish_counters();
 
   VirtualClock& clock_;
-  std::vector<Entry> heap_;       // 4-ary min-heap on (when, seq)
-  std::vector<Entry> ring_;       // sorted by construction; FIFO drain
-  std::size_t ring_head_ = 0;
+  std::vector<Entry> heap_;       // earliest (when, seq) at the front
   std::vector<Task> slots_;       // stable task storage behind entries
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;

@@ -10,7 +10,6 @@
 
 #include "common/arena.h"
 #include "common/bytes.h"
-#include "common/lru_cache.h"
 #include "common/hex.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -212,81 +211,6 @@ TEST(Syscall, CostsArePositiveAndByteSensitive) {
             syscall_host_ns(Sys::kRead, 0));
   EXPECT_EQ(syscall_host_ns(Sys::kFutex, 100'000),
             syscall_host_ns(Sys::kFutex, 0));  // no per-byte component
-}
-
-// ---------------------------------------------------------------------
-// LruCache: the bound behind the Milenage and TLS-ticket caches
-// ---------------------------------------------------------------------
-
-TEST(LruCache, FindPromotesToMostRecentlyUsed) {
-  LruCache<int, int> cache(2);
-  cache.insert(1, 10);
-  cache.insert(2, 20);
-  ASSERT_NE(cache.find(1), nullptr);  // 1 becomes MRU; 2 is now LRU
-  cache.insert(3, 30);                // evicts 2, not 1
-  EXPECT_NE(cache.find(1), nullptr);
-  EXPECT_EQ(cache.find(2), nullptr);
-  EXPECT_NE(cache.find(3), nullptr);
-  EXPECT_EQ(cache.evictions(), 1u);
-}
-
-TEST(LruCache, InsertOverwritesWithoutEvicting) {
-  LruCache<int, int> cache(2);
-  cache.insert(1, 10);
-  cache.insert(2, 20);
-  cache.insert(1, 11);  // overwrite, not a new entry
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 0u);
-  ASSERT_NE(cache.find(1), nullptr);
-  EXPECT_EQ(*cache.find(1), 11);
-}
-
-TEST(LruCache, InsertedReferenceIsStableAcrossOtherKeysChurn) {
-  // The Bus holds a TicketState* across open_connection while other
-  // pairs may churn — the node behind a live (MRU) entry must not move.
-  LruCache<int, int> cache(2);
-  int* one = &cache.insert(1, 10);
-  for (int k = 2; k < 20; ++k) {
-    cache.insert(k, k);    // churns the other slot repeatedly
-    ASSERT_NE(cache.find(1), nullptr);  // keep 1 MRU so it survives
-    EXPECT_EQ(cache.find(1), one) << "node moved under churn";
-  }
-  EXPECT_EQ(*one, 10);
-}
-
-TEST(LruCache, SetCapacityShrinksAndCounts) {
-  LruCache<int, int> cache(8);
-  for (int k = 0; k < 8; ++k) cache.insert(k, k);
-  cache.set_capacity(3);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.evictions(), 5u);
-  // The three most recent survive.
-  EXPECT_NE(cache.find(7), nullptr);
-  EXPECT_NE(cache.find(6), nullptr);
-  EXPECT_NE(cache.find(5), nullptr);
-  EXPECT_EQ(cache.find(4), nullptr);
-}
-
-TEST(LruCache, EraseAndClear) {
-  LruCache<int, int> cache(4);
-  cache.insert(1, 10);
-  cache.insert(2, 20);
-  EXPECT_TRUE(cache.erase(1));
-  EXPECT_FALSE(cache.erase(1));
-  EXPECT_EQ(cache.size(), 1u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.evictions(), 0u) << "erase/clear are not evictions";
-}
-
-TEST(LruCache, CapacityFloorIsOne) {
-  LruCache<int, int> cache(0);
-  EXPECT_EQ(cache.capacity(), 1u);
-  int& v = cache.insert(1, 10);
-  EXPECT_EQ(v, 10) << "insert into a capacity-1 cache keeps the new entry";
-  cache.insert(2, 20);
-  EXPECT_EQ(cache.find(1), nullptr);
-  EXPECT_NE(cache.find(2), nullptr);
 }
 
 // ---------------------------------------------------------------------

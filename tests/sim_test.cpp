@@ -199,12 +199,12 @@ TEST(Scheduler, RunUntilInterleavesCascadesAcrossInstants) {
   EXPECT_EQ(sched.pending(), 1u);
 }
 
-// ---- event-ring + indexed heap properties ------------------------------
+// ---- heap order properties ---------------------------------------------
 //
-// The storage behind the scheduler is a sorted near-term ring (appends
-// that extend the tail) merged against a 4-ary heap (everything else).
-// These tests drive adversarial schedules through both parts and check
-// the observable contract never wavers: global (timestamp, FIFO) order.
+// The storage behind the scheduler is one binary heap on (timestamp,
+// sequence). These tests drive adversarial schedules through it and
+// check the observable contract never wavers: global (timestamp, FIFO)
+// order.
 
 TEST(Scheduler, RandomScheduleMatchesStableSortReference) {
   // Deterministic LCG workload: timestamps collide often (small range),
@@ -239,10 +239,9 @@ TEST(Scheduler, RandomScheduleMatchesStableSortReference) {
 }
 
 TEST(Scheduler, RingAndHeapMergePreservesOrderAcrossCascades) {
-  // Monotone appends land in the ring; each fired event then schedules
-  // a *later* continuation (ring again) and an out-of-order sibling
-  // relative to the ring tail (heap). The merged pop order must stay
-  // globally sorted with FIFO ties.
+  // Monotone appends; each fired event then schedules a continuation
+  // that lands before the latest pending instant. The pop order must
+  // stay globally sorted with FIFO ties.
   VirtualClock clock;
   Scheduler sched(clock);
   std::vector<Nanos> fired;

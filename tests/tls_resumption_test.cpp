@@ -405,46 +405,5 @@ TEST_F(ResumingBusFixture, DetachReattachInvalidatesTicketsSilently) {
   EXPECT_EQ(counter_value("tls.resume.reject"), reject0 + 1);
 }
 
-TEST_F(ResumingBusFixture, TicketCacheEvictsLruPairAndRecovers) {
-  // The ticket cache is bounded (satellite of the sharded-serving PR):
-  // three (client, server) pairs against capacity 2 must evict the
-  // least-recently-used pair, bump bus.ticket.evict, and the evicted
-  // pair must recover with exactly one full handshake before resuming
-  // again — eviction degrades cost, never correctness.
-  auto add_echo = [this](Server& server) {
-    server.router().add(Method::kPost, "/echo",
-                        [](const RequestView& req, const PathParams&) {
-                          return HttpResponse::json(200, std::string(req.body));
-                        });
-    bus_.attach(server);
-  };
-  Server beta("beta", env_, bus_.costs());
-  Server gamma("gamma", env_, bus_.costs());
-  add_echo(beta);
-  add_echo(gamma);
-
-  bus_.set_ticket_capacity(2);
-  const std::uint64_t evict0 = counter_value("bus.ticket.evict");
-  const std::uint64_t evictions0 = bus_.ticket_evictions();
-
-  EXPECT_TRUE(bus_.request("client", "echo", echo_request()).transport_ok);
-  EXPECT_TRUE(bus_.request("client", "beta", echo_request()).transport_ok);
-  EXPECT_EQ(bus_.ticket_evictions(), evictions0) << "capacity not reached";
-  // Third pair: (client, echo) is now least-recently-used and evicted.
-  EXPECT_TRUE(bus_.request("client", "gamma", echo_request()).transport_ok);
-  EXPECT_EQ(bus_.ticket_evictions(), evictions0 + 1);
-  EXPECT_EQ(counter_value("bus.ticket.evict"), evict0 + 1);
-
-  // The evicted pair pays one full handshake (a miss, not a reject —
-  // there is no stale ticket to present)...
-  const std::uint64_t miss0 = counter_value("tls.resume.miss");
-  const std::uint64_t hit0 = counter_value("tls.resume.hit");
-  EXPECT_TRUE(bus_.request("client", "echo", echo_request()).transport_ok);
-  EXPECT_EQ(counter_value("tls.resume.miss"), miss0 + 1);
-  // ...and is immediately warm again.
-  EXPECT_TRUE(bus_.request("client", "echo", echo_request()).transport_ok);
-  EXPECT_EQ(counter_value("tls.resume.hit"), hit0 + 1);
-}
-
 }  // namespace
 }  // namespace shield5g::net
