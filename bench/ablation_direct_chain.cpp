@@ -105,7 +105,7 @@ void run(paka::Isolation isolation, const char* label, int n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = bench::iterations(argc, argv, 200);
+  const int n = bench::iterations(argc, argv, 200, bench::Args::kCount);
   bench::heading("ABLATION: P-AKA chaining topology (paper design decision)");
   run(paka::Isolation::kContainer, "container isolation", n);
   run(paka::Isolation::kSgx, "SGX isolation", n);

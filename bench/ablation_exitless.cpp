@@ -38,7 +38,7 @@ void run(bool exitless, int n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = bench::iterations(argc, argv, 300);
+  const int n = bench::iterations(argc, argv, 300, bench::Args::kCount);
   bench::heading("ABLATION: exitless OCALLs on the eUDM module (§V-B7)");
   run(false, n);
   run(true, n);

@@ -34,7 +34,7 @@ void run(bool preheat, int n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = bench::iterations(argc, argv, 300);
+  const int n = bench::iterations(argc, argv, 300, bench::Args::kCount);
   bench::heading("ABLATION: sgx.preheat_enclave on the eUDM module");
   run(true, n);
   run(false, n);

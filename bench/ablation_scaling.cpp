@@ -13,7 +13,7 @@
 using namespace shield5g;
 
 int main(int argc, char** argv) {
-  const int regs = bench::iterations(argc, argv, 40);
+  const int regs = bench::iterations(argc, argv, 40, bench::Args::kCount);
   bench::heading("ABLATION: eUDM replica pool scaling (paper §V-B7)");
   std::printf("  %d registrations per configuration\n\n", regs);
   std::printf("  %-9s %12s %10s %12s %14s %14s\n", "replicas",

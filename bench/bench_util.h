@@ -15,22 +15,29 @@
 
 namespace shield5g::bench {
 
+/// The arguments a paper bench takes: an optional iteration count, and
+/// for load_curve an optional output path after it.
+enum class Args { kCount, kCountAndOutput };
+
 /// Parses the iteration count: argv[1] if given, else `def`. The count
 /// is plain decimal digits with a value from 1 to INT_MAX; anything else
-/// ("2x", "0", "+3", "-3", " 3", "4294967297") prints a usage line and
-/// exits 2 instead of silently running some other count.
-inline int iterations(int argc, char** argv, int def) {
+/// ("2x", "0", "+3", "-3", " 3", "4294967297"), or more arguments than
+/// `takes` allows, prints a usage line and exits 2 instead of silently
+/// running some other count or ignoring an argument.
+inline int iterations(int argc, char** argv, int def, Args takes) {
   if (argc < 2) return def;
+  const int max_args = takes == Args::kCountAndOutput ? 2 : 1;
   const char* s = argv[1];
   int n = 0;
-  bool ok = *s != '\0';
+  bool ok = argc <= 1 + max_args && *s != '\0';
   for (; ok && *s != '\0'; ++s) {
     const int digit = *s - '0';
     ok = digit >= 0 && digit <= 9 && n <= (INT_MAX - digit) / 10;
     if (ok) n = n * 10 + digit;
   }
   if (!ok || n == 0) {
-    std::fprintf(stderr, "usage: %s [iterations 1..%d]\n", argv[0], INT_MAX);
+    std::fprintf(stderr, "usage: %s [iterations 1..%d]%s\n", argv[0], INT_MAX,
+                 takes == Args::kCountAndOutput ? " [out.json]" : "");
     std::exit(2);
   }
   return n;

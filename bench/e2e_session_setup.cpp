@@ -31,7 +31,7 @@ Samples run_mode(slice::IsolationMode mode, int regs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = bench::iterations(argc, argv, 200);
+  const int n = bench::iterations(argc, argv, 200, bench::Args::kCount);
   bench::heading("E2E: UE session setup latency (registration + PDU session)");
   std::printf("  %d registrations per mode via gNBSIM\n", n);
 

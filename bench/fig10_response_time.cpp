@@ -44,7 +44,7 @@ Series measure(paka::Isolation isolation, const net::HttpRequest& req,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int stable_n = bench::iterations(argc, argv, 500);
+  const int stable_n = bench::iterations(argc, argv, 500, bench::Args::kCount);
   const int initial_n = std::max(20, stable_n / 10);
   bench::heading("FIG 10: stable and initial response time of the modules");
   std::printf("  %d stable requests, %d fresh deployments per module\n",

@@ -34,7 +34,7 @@ Samples measure_loads(const std::string& name, int iterations) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = bench::iterations(argc, argv, 50);
+  const int n = bench::iterations(argc, argv, 50, bench::Args::kCount);
   bench::heading("FIG 7: enclave load time of the P-AKA modules");
   std::printf("  config: sgx.preheat_enclave=true, 512MB EPC, "
               "4 threads, %d deployments per module\n", n);

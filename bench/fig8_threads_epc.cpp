@@ -51,7 +51,7 @@ ConfigResult run_config(const Config& config, int requests) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = bench::iterations(argc, argv, 500);
+  const int n = bench::iterations(argc, argv, 500, bench::Args::kCount);
   const unsigned workers = sim::shard_workers();
   bench::heading(
       "FIG 8: thread count and EPC size sweep on the eUDM P-AKA module");

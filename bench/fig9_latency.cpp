@@ -55,7 +55,7 @@ void print_mode(const char* label, const ModeResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = bench::iterations(argc, argv, 500);
+  const int n = bench::iterations(argc, argv, 500, bench::Args::kCount);
   bench::heading("FIG 9: functional and total latency of the P-AKA modules");
   std::printf("  %d UE registrations per isolation mode\n", n);
 

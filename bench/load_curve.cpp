@@ -166,7 +166,8 @@ bool validate(const std::string& text) {
 
 int main(int argc, char** argv) {
   const std::uint32_t ues = static_cast<std::uint32_t>(
-      bench::iterations(argc, argv, 200));
+      bench::iterations(argc, argv, 200,
+                        bench::Args::kCountAndOutput));
   const std::string out_path = argc > 2 ? argv[2] : "BENCH_load_curve.json";
   const unsigned workers = sim::shard_workers();
   bench::heading("LOAD CURVE: latency vs offered registration load");

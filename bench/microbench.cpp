@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "crypto/aes128.h"
 #include "crypto/ecies.h"
+#include "crypto/fe25519.h"
 #include "crypto/hmac_sha256.h"
 #include "crypto/key_hierarchy.h"
 #include "crypto/milenage.h"
@@ -110,6 +111,18 @@ void BM_X25519Comb(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_X25519Comb);
+
+// One field inversion, the last step of every x25519() call; each
+// output is the next input.
+void BM_FeInvert(benchmark::State& state) {
+  Rng rng(5);
+  crypto::fe25519::Fe z = crypto::fe25519::fe_load(rng.bytes(32).data());
+  for (auto _ : state) {
+    z = crypto::fe25519::fe_invert(z);
+    benchmark::DoNotOptimize(z);
+  }
+}
+BENCHMARK(BM_FeInvert);
 
 // The portable comb alone, pinned through its test hook whatever the
 // host runs: 64 flat-table selects and mixed additions, no inversion.

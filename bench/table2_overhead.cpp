@@ -72,7 +72,7 @@ double mean_setup_ms(slice::IsolationMode mode, int regs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = bench::iterations(argc, argv, 300);
+  const int n = bench::iterations(argc, argv, 300, bench::Args::kCount);
   bench::heading("TABLE II: SGX overhead across the isolated modules");
   std::printf("  %d requests per module per isolation\n", n);
 

@@ -12,7 +12,8 @@
 using namespace shield5g;
 
 int main(int argc, char** argv) {
-  const int max_ues = std::min(10, bench::iterations(argc, argv, 10));
+  const int max_ues =
+      std::min(10, bench::iterations(argc, argv, 10, bench::Args::kCount));
   bench::heading("TABLE III: SGX operational statistics (EENTER/EEXIT/AEX)");
 
   slice::SliceConfig cfg;

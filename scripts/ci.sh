@@ -28,10 +28,11 @@
 #                             # plane, and the shard-pool shared state
 #                             # (comb cache, stats registry)
 #   scripts/ci.sh digest-parity # bit-identity matrix: kernel_parity
-#                             # under both crypto backends (failing if
-#                             # the IFMA ladder's or comb's parity test
-#                             # skipped on a host and compiler that
-#                             # support them),
+#                             # and the fe25519 range tests under both
+#                             # crypto backends (failing if the IFMA
+#                             # ladder's or comb's parity test, or any
+#                             # Fe25519.Ifma* range test, skipped on a
+#                             # host and compiler that support them),
 #                             # then the scaling bench's per-case digests
 #                             # at 1 and 2 shard workers and with the
 #                             # scalar crypto backend, each diffed
@@ -140,20 +141,26 @@ case "$stage" in
   digest-parity)
     build="${BUILD_DIR:-$repo/build}"
     cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
-    cmake --build "$build" --target kernel_parity_test shard_scaling \
-          -j "$jobs"
+    cmake --build "$build" --target kernel_parity_test fe25519_test \
+          shard_scaling -j "$jobs"
     # Bit-identity across crypto dispatch: the parity suite (random
     # scalars/points incl. twist and u=0, RFC 7748 vectors, op-count
-    # parity) must pass with the backend pinned either way.
-    SHIELD5G_CRYPTO_BACKEND=scalar "$build/tests/kernel_parity_test"
+    # parity) and the field range tests (the safegcd inversion, and the
+    # IFMA ops at the edges of their domains) must pass with the backend
+    # pinned either way.
     parity_log="$build/kernel_parity_accel.txt"
-    SHIELD5G_CRYPTO_BACKEND=accel "$build/tests/kernel_parity_test" \
-      | tee "$parity_log"
-    # The IFMA ladder and comb must not go untested silently. On a host
-    # whose /proc/cpuinfo lists avx512ifma, built by a compiler that
-    # accepted -mavx512ifma, a skipped IFMA parity test means CPUID/XCR0
-    # detection regressed: the accelerated path would fall back to the
-    # 51-bit ladder and the portable comb with every other check green.
+    for backend in scalar accel; do
+      SHIELD5G_CRYPTO_BACKEND=$backend "$build/tests/kernel_parity_test" \
+        | tee "$build/kernel_parity_$backend.txt"
+      SHIELD5G_CRYPTO_BACKEND=$backend "$build/tests/fe25519_test" \
+        | tee "$build/fe25519_$backend.txt"
+    done
+    # The IFMA kernels must not go untested silently. On a host whose
+    # /proc/cpuinfo lists avx512ifma, built by a compiler that accepted
+    # -mavx512ifma, a skipped IFMA test means CPUID/XCR0 detection
+    # regressed: the accelerated path would fall back to the 51-bit
+    # ladder and the portable comb, and mul4's range edges would go
+    # unchecked, with every other check green.
     if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null \
        && grep -qx 'SHIELD5G_COMPILER_HAS_MAVX512IFMA:INTERNAL=1' \
             "$build/CMakeCache.txt"; then
@@ -163,6 +170,14 @@ case "$stage" in
              "$parity_log"; then
           echo "digest-parity: IFMA host and compiler, but" \
                "KernelParity.$parity_test was skipped" >&2
+          exit 1
+        fi
+      done
+      for backend in scalar accel; do
+        if grep -q '^\[  SKIPPED \] Fe25519\.Ifma' \
+             "$build/fe25519_$backend.txt"; then
+          echo "digest-parity: IFMA host and compiler, but an" \
+               "Fe25519.Ifma* test was skipped ($backend backend)" >&2
           exit 1
         fi
       done

@@ -2,7 +2,7 @@
 //
 // Shared by the Montgomery ladder (x25519.cpp) and the fixed-base
 // Edwards comb (x25519_comb.cpp). Header-only so both translation units
-// inline the limb arithmetic.
+// inline the limb arithmetic; only the inversion lives in fe25519.cpp.
 //
 // Range discipline: fe_mul / fe_sq accept limbs up to 2^54 and return
 // carried values (< 2^51 + eps). fe_add of two carried values stays
@@ -24,15 +24,9 @@ inline Fe fe_zero() { return Fe{0, 0, 0, 0, 0}; }
 inline Fe fe_one() { return Fe{1, 0, 0, 0, 0}; }
 inline Fe fe_from_u64(std::uint64_t v) { return Fe{v, 0, 0, 0, 0}; }
 
-inline Fe fe_load(const std::uint8_t* s) {
-  std::uint64_t w[4];
-  for (int i = 0; i < 4; ++i) {
-    w[i] = 0;
-    for (int j = 0; j < 8; ++j) {
-      w[i] |= static_cast<std::uint64_t>(s[8 * i + j]) << (8 * j);
-    }
-  }
-  w[3] &= 0x7fffffffffffffffULL;  // RFC 7748: mask the top bit of u
+// Splits four little-endian 64-bit words (a value below 2^255) into
+// carried 51-bit limbs.
+inline Fe fe_from_words(const std::uint64_t w[4]) {
   Fe h;
   h[0] = w[0] & kMask51;
   h[1] = ((w[0] >> 51) | (w[1] << 13)) & kMask51;
@@ -42,7 +36,20 @@ inline Fe fe_load(const std::uint8_t* s) {
   return h;
 }
 
-inline void fe_store(std::uint8_t* s, const Fe& h_in) {
+inline Fe fe_load(const std::uint8_t* s) {
+  std::uint64_t w[4];
+  for (int i = 0; i < 4; ++i) {
+    w[i] = 0;
+    for (int j = 0; j < 8; ++j) {
+      w[i] |= static_cast<std::uint64_t>(s[8 * i + j]) << (8 * j);
+    }
+  }
+  w[3] &= 0x7fffffffffffffffULL;  // RFC 7748: mask the top bit of u
+  return fe_from_words(w);
+}
+
+// The canonical value in [0, p) as four little-endian 64-bit words.
+inline void fe_to_words(std::uint64_t w[4], const Fe& h_in) {
   Fe t = h_in;
   // Two lossy carry passes bring every limb under 2^52.
   for (int pass = 0; pass < 2; ++pass) {
@@ -72,11 +79,15 @@ inline void fe_store(std::uint8_t* s, const Fe& h_in) {
   t[4] += t[3] >> 51; t[3] &= kMask51;
   t[4] &= kMask51;
 
-  const std::uint64_t w0 = t[0] | (t[1] << 51);
-  const std::uint64_t w1 = (t[1] >> 13) | (t[2] << 38);
-  const std::uint64_t w2 = (t[2] >> 26) | (t[3] << 25);
-  const std::uint64_t w3 = (t[3] >> 39) | (t[4] << 12);
-  const std::uint64_t w[4] = {w0, w1, w2, w3};
+  w[0] = t[0] | (t[1] << 51);
+  w[1] = (t[1] >> 13) | (t[2] << 38);
+  w[2] = (t[2] >> 26) | (t[3] << 25);
+  w[3] = (t[3] >> 39) | (t[4] << 12);
+}
+
+inline void fe_store(std::uint8_t* s, const Fe& h) {
+  std::uint64_t w[4];
+  fe_to_words(w, h);
   for (int i = 0; i < 4; ++i) {
     for (int j = 0; j < 8; ++j) {
       s[8 * i + j] = static_cast<std::uint8_t>(w[i] >> (8 * j));
@@ -174,22 +185,11 @@ inline Fe fe_sqn(Fe f, int n) {
   return f;
 }
 
-// z^(p-2) via the standard addition chain.
-inline Fe fe_invert(const Fe& z) {
-  const Fe t0 = fe_sq(z);                      // z^2
-  Fe t1 = fe_mul(z, fe_sqn(t0, 2));            // z^9
-  const Fe t0b = fe_mul(t0, t1);               // z^11
-  const Fe t2 = fe_sq(t0b);                    // z^22
-  t1 = fe_mul(t1, t2);                         // z^31 = z^(2^5-1)
-  Fe t3 = fe_mul(t1, fe_sqn(t1, 5));           // z^(2^10-1)
-  Fe t4 = fe_mul(t3, fe_sqn(t3, 10));          // z^(2^20-1)
-  Fe t5 = fe_mul(t4, fe_sqn(t4, 20));          // z^(2^40-1)
-  t4 = fe_mul(t3, fe_sqn(t5, 10));             // z^(2^50-1)
-  t5 = fe_mul(t4, fe_sqn(t4, 50));             // z^(2^100-1)
-  Fe t6 = fe_mul(t5, fe_sqn(t5, 100));         // z^(2^200-1)
-  t5 = fe_mul(t4, fe_sqn(t6, 50));             // z^(2^250-1)
-  return fe_mul(t0b, fe_sqn(t5, 5));           // z^(2^255-21) = z^(p-2)
-}
+/// 1/z, and 0 for z = 0 (callers rely on fe_invert(0) = 0): a
+/// constant-time safegcd inversion (fe25519.cpp). Accepts limbs up to
+/// 2^54 and returns carried limbs. Defined out of line, so the
+/// AVX-512 kernel TU, which includes this header, never emits a copy.
+Fe fe_invert(const Fe& z);
 
 // z^(2^252 - 3) = z^((p-5)/8); the exponentiation behind square roots
 // in a field where p = 5 (mod 8).

@@ -4,7 +4,8 @@
 // (x25519_ifma.cpp), for hosts with AVX512IFMA (vpmadd52luq /
 // vpmadd52huq: per-qword 52x52-bit multiply into a 104-bit product,
 // accumulated low/high half separately). IFMA multiplies 52-bit fields
-// directly — 72 madds per mul4 — and the ladder keeps all four lanes
+// directly — 72 madds per mul4, plus six for 152 g — and the ladder
+// keeps all four lanes
 // busy with one step's independent products. Only 256-bit vectors are
 // used (AVX512VL), avoiding 512-bit license downclocking.
 //
@@ -12,22 +13,37 @@
 // mod p). 43 was chosen for slack: vpmadd52 reads only the low 52 bits
 // of each multiplicand, silently ignoring the rest, so every multiplier
 // input must provably stay below 2^52. With 43-bit carried limbs, sums
-// and biased differences reach only ~2^46 — far under the 52-bit edge —
-// which means add4/sub4 outputs feed mul4 with no normalization step,
-// exactly like the scalar 51-bit code.
+// and biased differences reach only 3 * 2^43 < 2^44.6 — under the
+// 2^44.75 that 152 g must respect as well — which means add4/sub4
+// outputs feed mul4 with no normalization step, exactly like the scalar
+// 51-bit code.
 //
 // Range discipline:
-//   * mul4 accepts limbs < 2^46 ("loose") and returns carried values
-//     (limbs <= 2^43 + 1).
-//   * add4 of two carried values stays under 2^44.1 — loose.
-//   * sub4 requires carried inputs (its bias, 32p with limbs ~2^45, is
-//     sized for them) and returns limbs < 2^45.6 — loose.
-//   * mul_small4 accepts add4/sub4 outputs (< 2^45.6); times s < 2^17
-//     the exact products stay under carry6's 2^62.6 ceiling.
-//   * Accumulators: a product of loose limbs is < 2^92; each of the 12
-//     column sums collects at most 6 low halves (< 2^52) plus the
-//     9-bit-realigned high halves, staying under 2^54.8; the 152x wrap
-//     fold lifts that to at most ~2^62.2 — no u64 overflow.
+//   * mul4(f, g) accepts f with limbs < 2^46 and g with limbs at most
+//     floor((2^52 - 1) / 152) < 2^44.75, and returns carried
+//     values (limbs <= 2^43 + 1). The bound on g is the wrap fold's:
+//     mul4 multiplies by 152 g (below), and vpmadd52 would silently
+//     drop bits of 152 g above 2^52.
+//   * add4 of two carried values stays at or under 2^44 + 2.
+//   * sub4 requires carried inputs (its bias, 16p with limbs ~2^44, is
+//     sized for them) and returns limbs in [2^43 - 305, 3 * 2^43).
+//   * mul_small4 accepts add4/sub4 outputs (< 3 * 2^43); times s < 2^17
+//     the exact products stay under 2^62, inside carry6's ceiling.
+//   * So every g operand below is in domain. Ladder: g is
+//     permute(abcd), abcd an add4/sub4 output (< 3 * 2^43); then
+//     (t1, t2, BB, AA + 121665 E) with t1, t2 add4/sub4 outputs, BB
+//     carried and the last an add4 of two carried values; then the
+//     carried scale (1, x1, 1, 1). Comb: the entry is carried from
+//     fe4_from_limbs, or a 16p - e lane (< 2^44); the second g mixes
+//     add4/sub4 outputs. f is never above 3 * 2^43 either.
+//   * Accumulators: with f < 2^46 and g at the bound, each of the six
+//     low columns collects six low halves (< 2^52 each, < 2^54.6 in
+//     all); each high column at most five high halves of f * 152 g
+//     (< 2^46 each) plus ones of f * g (< 2^38.75), < 2^48.4, which the
+//     9-bit realignment lifts to < 2^57.4. The one remaining wrap,
+//     152 * (hi6 << 9) with hi6 < 6 * 2^38.75, adds < 2^57.6 to
+//     column 0: every column stays under 2^58, far from u64 overflow
+//     and inside carry6's 2^62.6.
 //
 // Every limb loop carries `#pragma GCC unroll`: the default build is
 // RelWithDebInfo (-O2), where GCC 12 leaves the 6x6 vpmadd52 loops
@@ -63,8 +79,9 @@ inline __m256i fe4_set1(std::uint64_t v) {
 
 namespace internal {
 
-// 152c = 128c + 16c + 8c (2^258 ≡ 152 mod p); the operand never
-// exceeds ~2^55, so the shifts cannot overflow.
+// 152c = 128c + 16c + 8c (2^258 ≡ 152 mod p) for any c < 2^56, so the
+// shifts cannot overflow: the carry's and mul4's last wrap, and the
+// unpacking's.
 inline __m256i times152(__m256i c) {
   return _mm256_add_epi64(
       _mm256_add_epi64(_mm256_slli_epi64(c, 7), _mm256_slli_epi64(c, 4)),
@@ -80,7 +97,7 @@ inline __m256i times152(__m256i c) {
 // Range argument: stage carries are < 2^19.7; the wrap contributes
 // 152 * 2^19.7 < 2^27.3 to h0. The trailing stage re-carries h3 and
 // h0, whose carries are then <= 1, so h4 and h1 end at most one above
-// their masks — deep inside the 2^46 loose domain.
+// their masks — well inside mul4's domain for f and g.
 inline void carry6(Fe4& r) {
   const __m256i m43 = fe4_set1(kMask43);
   __m256i a, b;
@@ -111,22 +128,6 @@ inline void carry6(Fe4& r) {
   r.h[0] = _mm256_and_si256(r.h[0], m43);
   r.h[4] = _mm256_add_epi64(r.h[4], a);
   r.h[1] = _mm256_add_epi64(r.h[1], b);
-}
-
-// Column sums c[0..11] (low halves plus 9-bit-realigned high halves)
-// reduced mod p: columns 6..11 wrap by 152, then one carry pass.
-inline Fe4 reduce12(const __m256i lo[12], const __m256i hi[12]) {
-  Fe4 r;
-#pragma GCC unroll 6
-  for (int m = 0; m < 6; ++m) {
-    const __m256i c =
-        _mm256_add_epi64(lo[m], _mm256_slli_epi64(hi[m], 9));
-    const __m256i w =
-        _mm256_add_epi64(lo[m + 6], _mm256_slli_epi64(hi[m + 6], 9));
-    r.h[m] = _mm256_add_epi64(c, times152(w));
-  }
-  carry6(r);
-  return r;
 }
 
 }  // namespace internal
@@ -231,11 +232,12 @@ inline Fe4 add4(const Fe4& a, const Fe4& b) {
   return r;
 }
 
-/// a + 32p - b with both inputs carried; limbs stay positive and loose.
-/// 32p = (2^45 - 608) + (2^45 - 4) * (2^43 + 2^86 + ... + 2^215).
+/// a + 16p - b with both inputs carried; limbs stay positive and inside
+/// mul4's g domain. 16p = 2^259 - 304 = (2^44 - 304) + (2^44 - 2) *
+/// (2^43 + 2^86 + ... + 2^215).
 inline Fe4 sub4(const Fe4& a, const Fe4& b) {
-  const __m256i bias0 = fe4_set1((1ULL << 45) - 608);
-  const __m256i bias = fe4_set1((1ULL << 45) - 4);
+  const __m256i bias0 = fe4_set1((1ULL << 44) - 304);
+  const __m256i bias = fe4_set1((1ULL << 44) - 2);
   Fe4 r;
   r.h[0] = _mm256_add_epi64(a.h[0], _mm256_sub_epi64(bias0, b.h[0]));
 #pragma GCC unroll 5
@@ -245,33 +247,73 @@ inline Fe4 sub4(const Fe4& a, const Fe4& b) {
   return r;
 }
 
-/// Lane-sliced schoolbook multiply. vpmadd52luq accumulates the low 52
-/// bits of each 104-bit partial product into its column; the high half
-/// lands one limb up, off the 43-bit grid by 52 - 43 = 9 bits, so high
-/// halves accumulate separately and shift into place once per column.
-inline Fe4 mul4(const Fe4& f, const Fe4& g) {
-  __m256i lo[12], hi[12];
-#pragma GCC unroll 12
-  for (int c = 0; c < 12; ++c) lo[c] = hi[c] = _mm256_setzero_si256();
+/// 152 g, one vpmadd52luq per limb: exact for limbs up to
+/// floor((2^52 - 1) / 152), mul4's bound on g. mul4 computes it; the
+/// ladder hoists it for its constant operand.
+inline Fe4 wrap152(const Fe4& g) {
+  const __m256i k152 = fe4_set1(152);
+  Fe4 r;
+#pragma GCC unroll 6
+  for (int i = 0; i < 6; ++i) {
+    r.h[i] = _mm256_madd52lo_epu64(_mm256_setzero_si256(), g.h[i], k152);
+  }
+  return r;
+}
+
+/// Lane-sliced schoolbook multiply, given g152 = wrap152(g).
+/// vpmadd52luq accumulates the low 52 bits of each 104-bit partial
+/// product into its column; the high half lands one limb up, off the
+/// 43-bit grid by 52 - 43 = 9 bits, so high halves accumulate
+/// separately and shift into place once per column. A product f_i g_j
+/// with i + j >= 6 weighs 2^258 * 2^43(i+j-6) ≡ 152 * 2^43(i+j-6), so it
+/// is taken as f_i * (152 g_j) straight into column i + j - 6: six low
+/// and six high columns, and only the high halves of the i + j = 5
+/// products (high column 6) still wrap by 152.
+inline Fe4 mul4(const Fe4& f, const Fe4& g, const Fe4& g152) {
+  // hi[c] collects the high halves landing in column c (hi[0] none).
+  __m256i lo[6], hi[7];
+#pragma GCC unroll 7
+  for (int c = 0; c < 7; ++c) hi[c] = _mm256_setzero_si256();
+#pragma GCC unroll 6
+  for (int c = 0; c < 6; ++c) lo[c] = _mm256_setzero_si256();
 #pragma GCC unroll 6
   for (int i = 0; i < 6; ++i) {
 #pragma GCC unroll 6
     for (int j = 0; j < 6; ++j) {
-      lo[i + j] = _mm256_madd52lo_epu64(lo[i + j], f.h[i], g.h[j]);
-      hi[i + j + 1] = _mm256_madd52hi_epu64(hi[i + j + 1], f.h[i], g.h[j]);
+      const int c = i + j < 6 ? i + j : i + j - 6;
+      const __m256i gj = i + j < 6 ? g.h[j] : g152.h[j];
+      lo[c] = _mm256_madd52lo_epu64(lo[c], f.h[i], gj);
+      hi[c + 1] = _mm256_madd52hi_epu64(hi[c + 1], f.h[i], gj);
     }
   }
-  return internal::reduce12(lo, hi);
+  Fe4 r;
+  r.h[0] = _mm256_add_epi64(
+      lo[0], internal::times152(_mm256_slli_epi64(hi[6], 9)));
+#pragma GCC unroll 5
+  for (int c = 1; c < 6; ++c) {
+    r.h[c] = _mm256_add_epi64(lo[c], _mm256_slli_epi64(hi[c], 9));
+  }
+  internal::carry6(r);
+  return r;
+}
+
+inline Fe4 mul4(const Fe4& f, const Fe4& g) {
+  return mul4(f, g, wrap152(g));
 }
 
 /// f * s for small s (s < 2^17, e.g. the ladder's 121665): the exact
-/// 64-bit products (< 2^63) come from vpmullq and one carry pass
-/// finishes — no wrap fold, since no column reaches limb 6.
+/// products (< 2^62) are rebuilt from vpmadd52's high and low halves —
+/// two 4-cycle madds where vpmullq is 3 uops and 15 cycles — and one
+/// carry pass finishes; no wrap fold, since no column reaches limb 6.
 inline Fe4 mul_small4(const Fe4& f, std::uint32_t s) {
   const __m256i vs = fe4_set1(s);
   Fe4 r;
 #pragma GCC unroll 6
-  for (int i = 0; i < 6; ++i) r.h[i] = _mm256_mullo_epi64(f.h[i], vs);
+  for (int i = 0; i < 6; ++i) {
+    const __m256i hi =
+        _mm256_madd52hi_epu64(_mm256_setzero_si256(), f.h[i], vs);
+    r.h[i] = _mm256_madd52lo_epu64(_mm256_slli_epi64(hi, 52), f.h[i], vs);
+  }
   internal::carry6(r);
   return r;
 }

@@ -31,10 +31,14 @@ namespace {
 using fe25519::Fe;
 using namespace fe25519ifma;
 
+// permute4, blend4, select4 and cswap_pairs are always inlined: at -O2
+// GCC left cswap_pairs out of line, passing the Fe4 through memory on
+// every ladder step.
+
 // The same lane permutation on every limb (vpermq): lane l of the
 // result is lane (kImm >> 2l) & 3 of v.
 template <int kImm>
-Fe4 permute4(const Fe4& v) {
+[[gnu::always_inline]] inline Fe4 permute4(const Fe4& v) {
   Fe4 r;
 #pragma GCC unroll 6
   for (int i = 0; i < 6; ++i) {
@@ -45,7 +49,7 @@ Fe4 permute4(const Fe4& v) {
 
 // Per-lane select: lanes whose bit is set in kLanes come from b.
 template <int kLanes>
-Fe4 blend4(const Fe4& a, const Fe4& b) {
+[[gnu::always_inline]] inline Fe4 blend4(const Fe4& a, const Fe4& b) {
   // vpblendd takes one bit per dword: each qword lane is two bits.
   constexpr int kDwords =
       ((kLanes & 1) ? 0x03 : 0) | ((kLanes & 2) ? 0x0c : 0) |
@@ -60,7 +64,8 @@ Fe4 blend4(const Fe4& a, const Fe4& b) {
 
 // Constant-time select: b when `bit` is 1, a when it is 0. The secret
 // bit only ever reaches this mask, never a branch or an index.
-Fe4 select4(const Fe4& a, const Fe4& b, std::uint64_t bit) {
+[[gnu::always_inline]] inline Fe4 select4(const Fe4& a, const Fe4& b,
+                                          std::uint64_t bit) {
   const __m256i mask = fe4_set1(0 - bit);
   Fe4 r;
 #pragma GCC unroll 6
@@ -72,7 +77,7 @@ Fe4 select4(const Fe4& a, const Fe4& b, std::uint64_t bit) {
 }
 
 // Constant-time pair swap (x2, z2) <-> (x3, z3) when `swap` is 1.
-void cswap_pairs(Fe4& x, std::uint64_t swap) {
+[[gnu::always_inline]] inline void cswap_pairs(Fe4& x, std::uint64_t swap) {
   x = select4(x, permute4<0x4e>(x), swap);  // (x3, z3, x2, z2)
 }
 
@@ -113,7 +118,7 @@ void comb_select4(const std::uint64_t* row, std::int64_t digit,
 }
 
 // The selected entry's flat words as lane-sliced (y+x, y-x, 2dxy, 2),
-// negated to (y-x, y+x, 32p - 2dxy, 2) when `neg` is 1. valignq lines
+// negated to (y-x, y+x, 16p - 2dxy, 2) when `neg` is 1. valignq lines
 // limb l's three words (3l, 3l+1, 3l+2) up in lanes 0-2 of one vector;
 // lane 3 is then set to the constant 2 (limb 0) or 0.
 Fe4 comb_entry4(const __m256i v[4], std::uint64_t neg) {
@@ -209,6 +214,7 @@ void x25519_ifma_ladder_fraction(const std::uint8_t k[32], const Fe& x1,
   const Fe scale_lanes[4] = {one, x1, one, one};  // step 5's (1, x1, 1, 1)
   Fe4 x = fe4_from_lanes(start);
   const Fe4 scale = fe4_from_lanes(scale_lanes);
+  const Fe4 scale152 = wrap152(scale);
   std::uint64_t swap = 0;
 
   for (int t = 254; t >= 0; --t) {
@@ -233,7 +239,7 @@ void x25519_ifma_ladder_fraction(const std::uint8_t k[32], const Fe& x1,
                               add4(mul_small4(r, 121665), p));
     // The step's output is (x3', z3', x2', z2'): the pairs sit swapped,
     // so rather than permuting them back, the pending swap bit flips.
-    x = mul4(mul4(f, g), scale);
+    x = mul4(mul4(f, g), scale, scale152);
     swap ^= 1;
   }
   cswap_pairs(x, swap);

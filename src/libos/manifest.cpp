@@ -5,6 +5,10 @@
 namespace shield5g::libos {
 
 Bytes Manifest::serialize() const {
+  return serialize(file_set_digest(trusted_files));
+}
+
+Bytes Manifest::serialize(ByteView files_digest) const {
   Bytes out = to_bytes("manifest-v1\n" + entrypoint + "\n");
   const Bytes size = be_bytes(enclave_size, 8);
   out.insert(out.end(), size.begin(), size.end());
@@ -13,8 +17,7 @@ Bytes Manifest::serialize() const {
   out.push_back(debug ? 1 : 0);
   out.push_back(enable_stats ? 1 : 0);
   out.push_back(exitless ? 1 : 0);
-  const Bytes files = file_set_digest(trusted_files);
-  out.insert(out.end(), files.begin(), files.end());
+  out.insert(out.end(), files_digest.begin(), files_digest.end());
   return out;
 }
 

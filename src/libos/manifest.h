@@ -30,6 +30,11 @@ struct Manifest {
   /// manifest change changes MRENCLAVE, as with real Gramine).
   Bytes serialize() const;
 
+  /// The same bytes given `files_digest` = file_set_digest(trusted_files),
+  /// for a caller that needs the digest too: hashing a GSC file set
+  /// (~2,400 files) once instead of twice.
+  Bytes serialize(ByteView files_digest) const;
+
   /// Sanity checks mirroring Gramine's loader: the paper observed that
   /// fewer than 4 threads or less than 512 MB EPC makes the P-AKA
   /// modules "behave inconsistently"; validate() enforces the same

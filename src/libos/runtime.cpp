@@ -60,14 +60,18 @@ sim::Nanos GramineRuntime::boot() {
   const sim::Nanos start = machine_.clock().now();
   const Manifest& m = image_.manifest;
 
-  // ECREATE + measurement of manifest and signer identity.
+  // ECREATE + measurement of manifest and signer identity. The file-set
+  // digest feeds both the manifest measurement and the page contents;
+  // it is computed here from the manifest being loaded, never cached
+  // beside it, so the measurement always covers the files loaded.
   enclave_ = &machine_.create_enclave(sgx::EnclaveConfig{
       image_.name, m.enclave_size, m.max_threads, m.debug});
-  enclave_->extend_measurement(m.serialize());
+  const Bytes files_digest = file_set_digest(m.trusted_files);
+  enclave_->extend_measurement(m.serialize(files_digest));
   enclave_->extend_measurement(image_.signer_id);
 
   // EADD + EEXTEND every enclave page (SGX1-style full commit).
-  enclave_->add_pages(m.enclave_size, file_set_digest(m.trusted_files));
+  enclave_->add_pages(m.enclave_size, files_digest);
   enclave_->init();
 
   // The whole Gramine process runs under a single long-lived ECALL.

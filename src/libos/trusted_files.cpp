@@ -62,10 +62,17 @@ std::vector<TrustedFile> paka_app_files(const std::string& module_name,
 }
 
 Bytes file_set_digest(const std::vector<TrustedFile>& files) {
+  // Views and a stack buffer, no heap copy per file: a GSC image lists
+  // ~2,400 files and is hashed at every build and boot.
   crypto::Sha256 hash;
+  std::uint8_t size_be[8] = {};
   for (const auto& f : files) {
-    hash.update(to_bytes(f.path));
-    hash.update(be_bytes(f.size_bytes, 8));
+    hash.update(ByteView(reinterpret_cast<const std::uint8_t*>(f.path.data()),
+                         f.path.size()));
+    for (int i = 0; i < 8; ++i) {
+      size_be[i] = static_cast<std::uint8_t>(f.size_bytes >> (56 - 8 * i));
+    }
+    hash.update(size_be);
   }
   const auto digest = hash.finalize();
   return Bytes(digest.begin(), digest.end());

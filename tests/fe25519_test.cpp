@@ -10,11 +10,13 @@
 // oracle) and the output ranges — for the scalar backend and, through
 // the x25519_ifma test hooks, for the AVX-512 IFMA lane backend, whose
 // radix-2^43 domain (crypto/fe25519ifma.h) has its own range contract.
+// The safegcd inversion is checked against the oracle's z^(p-2).
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "crypto/cpu_dispatch.h"
@@ -239,6 +241,63 @@ TEST(Fe25519, StoreCanonicalizesLooseLimbs) {
   }
 }
 
+Big big_fmul(const Big& a, const Big& b) { return big_mod_p(big_mul(a, b)); }
+
+// a^(p-2) mod p by square-and-multiply: 1/a, and 0 for a = 0.
+Big big_finv(const Big& a) {
+  Big e = big_p();
+  e[0] -= 2;
+  Big r = big_zero();
+  r[0] = 1;
+  const Big base = big_mod_p(a);
+  for (int bit = 254; bit >= 0; --bit) {
+    r = big_fmul(r, r);
+    if ((e[bit / 64] >> (bit % 64)) & 1) r = big_fmul(r, base);
+  }
+  return r;
+}
+
+TEST(Fe25519, InvertMatchesOracle) {
+  // The edges: 0 and p (1/0 = 0), 1, p - 1, p + 1, 2^255 - 1 (= 18 mod
+  // p), limbs at and just under fe_mul's 2^54 ceiling, and one limb set.
+  constexpr std::uint64_t kTop = kMask51;
+  constexpr std::uint64_t kLoose = 1ULL << 54;
+  std::vector<Fe> inputs = {
+      Fe{0, 0, 0, 0, 0},
+      Fe{1, 0, 0, 0, 0},
+      Fe{kTop - 19, kTop, kTop, kTop, kTop},
+      Fe{kTop - 18, kTop, kTop, kTop, kTop},
+      Fe{kTop - 17, kTop, kTop, kTop, kTop},
+      Fe{kTop, kTop, kTop, kTop, kTop},
+      Fe{kLoose, kLoose, kLoose, kLoose, kLoose},
+      Fe{kLoose - 1, kLoose - 1, kLoose - 1, kLoose - 1, kLoose - 1},
+      Fe{0, 0, 0, 0, 1},
+  };
+  Rng rng(0xFE25519EULL);
+  for (int round = 0; round < 200; ++round) {
+    inputs.push_back(random_limbs(rng, 51 + round % 4));
+  }
+  for (std::size_t n = 0; n < inputs.size(); ++n) {
+    const Fe& z = inputs[n];
+    const Fe inv = fe25519::fe_invert(z);
+    expect_carried(inv, "fe_invert");
+    ASSERT_EQ(fe_bytes(inv), big_bytes(big_finv(big_from_fe(z))))
+        << "input " << n;
+  }
+  // z * (1/z) = 1 over many more inputs: nonzero ones, since the
+  // inverse is unique, this pins every output.
+  for (int round = 0; round < 20000; ++round) {
+    Fe z = random_limbs(rng, 51 + round % 4);
+    if (round % 5 == 0) {
+      for (auto& limb : z) limb = rng.next() % 3;  // small limbs
+    }
+    if (fe25519::fe_is_zero(z)) continue;
+    ASSERT_TRUE(fe25519::fe_eq(fe25519::fe_mul(z, fe25519::fe_invert(z)),
+                               fe25519::fe_one()))
+        << "round " << round;
+  }
+}
+
 // ---------------------------------------------------------------------
 // The AVX-512 IFMA backend: six 43-bit limbs per lane, four lanes.
 // ---------------------------------------------------------------------
@@ -286,8 +345,14 @@ Limbs43 splat43(std::uint64_t v) { return Limbs43{v, v, v, v, v, v}; }
 
 // mul4's carried output: h1 and h4 may end one above the 43-bit mask.
 constexpr std::uint64_t kCarried43 = (1ULL << 43) + 1;
-// sub4's documented ceiling, 2^45.6 (< 2^45 + 2^44.1).
-constexpr std::uint64_t kSubCeil43 = (1ULL << 45) + (1ULL << 44);
+// sub4's documented range with its 16p bias: [2^43 - 305, 3 * 2^43).
+constexpr std::uint64_t kSubFloor43 = (1ULL << 43) - 305;
+constexpr std::uint64_t kSubCeil43 = 3ULL << 43;
+// mul4's domain: f limbs below 2^46; g limbs at most floor((2^52 - 1) /
+// 152) < 2^44.75, so that 152 g, which mul4 multiplies by for the
+// columns that wrap, still fits vpmadd52's 52 bits.
+constexpr std::uint64_t kMulF = (1ULL << 46) - 1;
+constexpr std::uint64_t kMulG = ((1ULL << 52) - 1) / 152;
 
 void run_limbs(IfmaOp op, const Limbs43 a[4], const Limbs43 b[4],
                Limbs43 r[4]) {
@@ -302,7 +367,7 @@ TEST(Fe25519, IfmaAddSubMulSmallRangeEdges) {
   Limbs43 loose[4], carried[4], zero[4];
   for (int l = 0; l < 4; ++l) {
     zero[l] = splat43(0);
-    for (int i = 0; i < 6; ++i) loose[l][i] = rng.next() & ((1ULL << 46) - 1);
+    for (int i = 0; i < 6; ++i) loose[l][i] = rng.next() & kMulF;
   }
   Limbs43 products[4];
   run_limbs(IfmaOp::kMul, loose, loose, products);
@@ -311,24 +376,39 @@ TEST(Fe25519, IfmaAddSubMulSmallRangeEdges) {
   carried[2] = products[2];
   carried[3] = products[3];
 
-  // add4: two carried values stay under 2^44.1.
+  // add4: two carried values stay at or under 2^44 + 2.
   Limbs43 sum[4];
   run_limbs(IfmaOp::kAdd, carried, carried, sum);
-  // sub4: a + 32p - b, both orders, never wraps below zero.
+  // sub4: a + 16p - b, both orders, never wraps below zero.
   Limbs43 diff_ab[4], diff_ba[4];
   run_limbs(IfmaOp::kSub, carried, zero, diff_ab);
   run_limbs(IfmaOp::kSub, zero, carried, diff_ba);
   // mul_small4 on sub4's largest outputs: the exact 121665x products
-  // (< 2^62.5) must survive carry6.
+  // (< 2^62) must survive carry6.
   Limbs43 small[4];
   run_limbs(IfmaOp::kMulSmall, diff_ab, zero, small);
+  // Every add4/sub4 output is a valid mul4 g operand: multiplied by
+  // loose f values, the products match the oracle.
+  Limbs43 by_sum[4], by_diff_ab[4], by_diff_ba[4];
+  run_limbs(IfmaOp::kMul, loose, sum, by_sum);
+  run_limbs(IfmaOp::kMul, loose, diff_ab, by_diff_ab);
+  run_limbs(IfmaOp::kMul, loose, diff_ba, by_diff_ba);
   for (int l = 0; l < 4; ++l) {
     for (int i = 0; i < 6; ++i) {
       EXPECT_LE(sum[l][i], 2 * kCarried43) << "add lane " << l;
+      EXPECT_GE(diff_ab[l][i], kSubFloor43) << "sub lane " << l;
+      EXPECT_GE(diff_ba[l][i], kSubFloor43) << "sub lane " << l;
       EXPECT_LT(diff_ab[l][i], kSubCeil43) << "sub lane " << l;
       EXPECT_LT(diff_ba[l][i], kSubCeil43) << "sub lane " << l;
       EXPECT_LE(small[l][i], kCarried43) << "mul_small lane " << l;
     }
+    const Big f = big_from_limbs43(loose[l]);
+    EXPECT_EQ(limbs43_bytes(by_sum[l]),
+              big_bytes(big_mod_p(big_mul(f, big_from_limbs43(sum[l])))));
+    EXPECT_EQ(limbs43_bytes(by_diff_ab[l]),
+              big_bytes(big_mod_p(big_mul(f, big_from_limbs43(diff_ab[l])))));
+    EXPECT_EQ(limbs43_bytes(by_diff_ba[l]),
+              big_bytes(big_mod_p(big_mul(f, big_from_limbs43(diff_ba[l])))));
     Big twice = big_from_limbs43(carried[l]);
     for (int i = 0; i < 6; ++i) big_add_shifted(twice, carried[l][i], 43 * i);
     EXPECT_EQ(limbs43_bytes(sum[l]), big_bytes(big_mod_p(twice)));
@@ -347,16 +427,17 @@ TEST(Fe25519, IfmaAddSubMulSmallRangeEdges) {
 
 TEST(Fe25519, IfmaMulMatchesOracleAtLooseCeiling) {
   if (!ifma_testable()) GTEST_SKIP() << "IFMA kernels unavailable";
-  // mul4's domain is limbs < 2^46: lane 0 at the ceiling, the rest
-  // random below it.
+  // mul4's domain: f limbs up to kMulF, g limbs up to kMulG. Lane 0 sits
+  // at both ceilings, the rest are random below them.
   Rng rng(0xFE255203ULL);
   for (int round = 0; round < 200; ++round) {
     Limbs43 a[4], b[4], r[4];
-    a[0] = b[0] = splat43((1ULL << 46) - 1);
+    a[0] = splat43(kMulF);
+    b[0] = splat43(kMulG);
     for (int l = 1; l < 4; ++l) {
       for (int i = 0; i < 6; ++i) {
-        a[l][i] = rng.next() & ((1ULL << 46) - 1);
-        b[l][i] = rng.next() & ((1ULL << 46) - 1);
+        a[l][i] = rng.next() & kMulF;
+        b[l][i] = rng.next() % (kMulG + 1);
       }
     }
     run_limbs(IfmaOp::kMul, a, b, r);
@@ -383,8 +464,6 @@ Big big_fsub(const Big& a, const Big& b) {
   big_sub(r, big_mod_p(b));
   return big_mod_p(r);
 }
-
-Big big_fmul(const Big& a, const Big& b) { return big_mod_p(big_mul(a, b)); }
 
 TEST(Fe25519, IfmaCombWindowMatchesOracleAtCeiling) {
   if (!ifma_testable()) GTEST_SKIP() << "IFMA kernels unavailable";

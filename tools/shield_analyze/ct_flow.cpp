@@ -42,8 +42,10 @@ bool public_method(const std::string& name) {
 /// X25519 kernels whose key material arrives as a plain byte array (the
 /// clamped scalar) or a value computed from it by a call that lexical
 /// taint cannot follow (the comb's signed digits, one digit or its sign
-/// bit handed to a helper). Seeding these names keeps secret-dependent
-/// control flow inside the kernels visible.
+/// bit handed to a helper), and the safegcd inversion's routines, which
+/// see the field element only as limbs and matrices passed in. Seeding
+/// these names keeps secret-dependent control flow inside the kernels
+/// visible.
 const std::unordered_map<std::string, std::vector<std::string>>&
 kernel_secret_names() {
   static const std::unordered_map<std::string, std::vector<std::string>>
@@ -59,6 +61,12 @@ kernel_secret_names() {
           {"x25519_ifma_comb_fraction", {"digits", "neg"}},
           {"comb_select4", {"digit"}},
           {"comb_entry4", {"neg"}},
+          {"fe_invert", {"z"}},
+          {"divsteps_59", {"zeta", "f0", "g0"}},
+          {"divsteps_packed", {"zeta", "f", "g"}},
+          {"update_de_62", {"d", "e", "t"}},
+          {"update_fg_62", {"f", "g", "t"}},
+          {"normalize_62", {"r", "sign"}},
       };
   return kMap;
 }

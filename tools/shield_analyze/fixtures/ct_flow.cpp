@@ -108,6 +108,25 @@ void x25519_ifma_comb_fraction(const std::uint64_t* table,
   finish(acc, num, den);
 }
 
+// The safegcd inversion's divsteps see the field element only as the
+// low limbs of (f, g) passed in: ct-flow seeds them by routine name.
+// A divstep must not branch on g's parity, nor stop once g reaches 0.
+std::int64_t divsteps_packed(int n, std::int64_t zeta, std::uint64_t& f,
+                             std::uint64_t& g, Trans2x2& t) {
+  std::uint64_t uv = 1, qr = 1ULL << 32;
+  for (int i = 0; i < n; ++i) {
+    if (g == 0) break;  // lint-expect(ct-flow)
+    if (g & 1) {  // lint-expect(ct-flow)
+      g += f;
+      qr += uv;
+    }
+    g >>= 1;
+    uv <<= 1;
+  }
+  unpack(uv, qr, t);
+  return zeta - n;
+}
+
 int benign_uses(const SecretBytes& kamf, const sgx::EnclaveContext* ctx) {
   // Benign: the length of a secret is public.
   if (kamf.size() != 32) return -1;
