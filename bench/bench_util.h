@@ -9,15 +9,37 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 #include "common/stats.h"
+#include "json/json.h"
 
 namespace shield5g::bench {
 
-/// The arguments a paper bench takes: an optional iteration count, and
-/// for load_curve an optional output path after it.
-enum class Args { kCount, kCountAndOutput };
+/// The arguments a paper bench takes: none, an optional iteration count,
+/// or for load_curve an optional output path after the count.
+enum class Args { kNone, kCount, kCountAndOutput };
+
+/// Prints the usage line for what the bench takes and exits 2.
+[[noreturn]] inline void usage(char** argv, Args takes) {
+  if (takes == Args::kNone) {
+    std::fprintf(stderr, "usage: %s\n", argv[0]);
+  } else {
+    std::fprintf(stderr, "usage: %s [iterations 1..%d]%s\n", argv[0], INT_MAX,
+                 takes == Args::kCountAndOutput ? " [out.json]" : "");
+  }
+  std::exit(2);
+}
+
+/// Exits through usage() when given more arguments than `takes` allows,
+/// instead of silently ignoring them.
+inline void check_args(int argc, char** argv, Args takes) {
+  const int max_args = takes == Args::kNone    ? 0
+                       : takes == Args::kCount ? 1
+                                               : 2;
+  if (argc > 1 + max_args) usage(argv, takes);
+}
 
 /// Parses the iteration count: argv[1] if given, else `def`. The count
 /// is plain decimal digits with a value from 1 to INT_MAX; anything else
@@ -25,22 +47,31 @@ enum class Args { kCount, kCountAndOutput };
 /// `takes` allows, prints a usage line and exits 2 instead of silently
 /// running some other count or ignoring an argument.
 inline int iterations(int argc, char** argv, int def, Args takes) {
+  check_args(argc, argv, takes);
   if (argc < 2) return def;
-  const int max_args = takes == Args::kCountAndOutput ? 2 : 1;
   const char* s = argv[1];
   int n = 0;
-  bool ok = argc <= 1 + max_args && *s != '\0';
+  bool ok = *s != '\0';
   for (; ok && *s != '\0'; ++s) {
     const int digit = *s - '0';
     ok = digit >= 0 && digit <= 9 && n <= (INT_MAX - digit) / 10;
     if (ok) n = n * 10 + digit;
   }
-  if (!ok || n == 0) {
-    std::fprintf(stderr, "usage: %s [iterations 1..%d]%s\n", argv[0], INT_MAX,
-                 takes == Args::kCountAndOutput ? " [out.json]" : "");
-    std::exit(2);
-  }
+  if (!ok || n == 0) usage(argv, takes);
   return n;
+}
+
+/// Writes `doc` to `path` as one line of JSON. On a write error it
+/// prints which file failed and returns false.
+inline bool write_json(const std::string& path, const json::Value& doc) {
+  std::ofstream out(path, std::ios::trunc);
+  out << doc.dump() << '\n';
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("  wrote %s\n", path.c_str());
+  return true;
 }
 
 inline void heading(const std::string& title) {

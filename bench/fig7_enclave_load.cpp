@@ -21,8 +21,8 @@ Samples measure_loads(const std::string& name, int iterations) {
   Samples minutes;
   for (int i = 0; i < iterations; ++i) {
     sim::VirtualClock clock;
-    sgx::Machine machine(clock, {}, 0x716e + static_cast<std::uint64_t>(i));
-    net::Bus bus(clock, {}, 0xb05 + static_cast<std::uint64_t>(i));
+    sgx::Machine machine(clock, 0x716e + static_cast<std::uint64_t>(i));
+    net::Bus bus(clock, 0xb05 + static_cast<std::uint64_t>(i));
     paka::PakaOptions opts;  // defaults: SGX, 512 MB, 4 threads, preheat
     Service service(machine, bus, opts, name);
     const sim::Nanos load = service.deploy();

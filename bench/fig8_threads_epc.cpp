@@ -5,7 +5,7 @@
 // {512M, 2G, 8G}, plus the non-SGX container baseline, and reports the
 // functional (L_F) and total (L_T) latency of the module. Each
 // configuration is an independent simulation (own clock, module, bus),
-// so the six rows fan out over the shard pool and print in config
+// so the six rows fan out over the shard runner and print in config
 // order — bit-identical to a sequential run. Paper: more threads do
 // not help a single-threaded server; EPC beyond 512 MB does not help
 // either, and 8 GB slightly *hurts* with a wider interquartile range
@@ -14,7 +14,7 @@
 
 #include "bench/bench_util.h"
 #include "bench/paka_harness.h"
-#include "sim/shard_pool.h"
+#include "sim/shards.h"
 
 using namespace shield5g;
 
@@ -67,9 +67,8 @@ int main(int argc, char** argv) {
       {"Non-SGX (container)", paka::Isolation::kContainer, 4, 512ULL << 20},
   };
 
-  sim::ShardPool pool;
-  const std::vector<ConfigResult> results = pool.map(
-      std::size(configs),
+  const std::vector<ConfigResult> results = sim::map_shards(
+      workers, std::size(configs),
       [&configs, n](std::size_t i) { return run_config(configs[i], n); });
   for (std::size_t i = 0; i < std::size(configs); ++i) {
     bench::subheading(configs[i].label);

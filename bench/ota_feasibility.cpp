@@ -11,7 +11,8 @@
 
 using namespace shield5g;
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  bench::check_args(argc, argv, bench::Args::kNone);
   bench::heading("OTA: COTS UE feasibility test through the P-AKA modules");
 
   slice::SliceConfig cfg;

@@ -25,7 +25,7 @@ struct ModuleBench {
   std::unique_ptr<Service> service;
 
   ModuleBench(paka::PakaOptions options, std::uint64_t seed = 1)
-      : machine(clock, {}, seed ^ 0x5a5aULL), bus(clock, {}, seed) {
+      : machine(clock, seed ^ 0x5a5aULL), bus(clock, seed) {
     service = std::make_unique<Service>(machine, bus, options);
   }
 

@@ -32,7 +32,8 @@ void print_params(const char* direction, const Param* params,
 
 }  // namespace
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  bench::check_args(argc, argv, bench::Args::kNone);
   bench::heading("TABLE I: P-AKA enclave parameters and derivations");
 
   // Run the real computations once so every size below is measured from

@@ -8,7 +8,8 @@
 
 using namespace shield5g;
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  bench::check_args(argc, argv, bench::Args::kNone);
   bench::heading("TABLE V: key-issue summary (TR 33.848 vs HMEE)");
   std::printf("\n  %-4s %-45s %-10s %s\n", "KI#", "Description",
               "3GPP-HMEE", "Solution");

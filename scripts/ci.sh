@@ -24,9 +24,10 @@
 #   scripts/ci.sh asan        # AddressSanitizer over the unit suite
 #   scripts/ci.sh ubsan       # UBSanitizer over the unit suite
 #   scripts/ci.sh tsan        # ThreadSanitizer over the MonteCarlo
-#                             # suite: ShardPool host threads, the serving
-#                             # plane, and the shard-pool shared state
-#                             # (comb cache, stats registry)
+#                             # suite (the serving plane and the state
+#                             # shard workers share: comb cache, stats
+#                             # registry) and the RunShards suite (the
+#                             # fork-join's claim and exception paths)
 #   scripts/ci.sh digest-parity # bit-identity matrix: kernel_parity
 #                             # and the fe25519 range tests under both
 #                             # crypto backends (failing if the IFMA
@@ -135,8 +136,9 @@ case "$stage" in
     build="${BUILD_DIR:-$repo/build-tsan}"
     cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
           -DSHIELD5G_SANITIZE=thread
-    cmake --build "$build" --target montecarlo_test -j "$jobs"
-    ctest --test-dir "$build" --output-on-failure -R '^MonteCarlo'
+    cmake --build "$build" --target montecarlo_test sim_test -j "$jobs"
+    ctest --test-dir "$build" --output-on-failure \
+          -R '^(MonteCarlo|RunShards)\.'
     ;;
   digest-parity)
     build="${BUILD_DIR:-$repo/build}"

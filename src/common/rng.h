@@ -5,7 +5,7 @@
 //
 // There is deliberately no global or thread-local stream: every consumer
 // owns an Rng instance seeded from its own configuration, so parallel
-// shard runs (sim/shard_pool.h) cannot bleed draws across shards — each
+// shard runs (sim/shards.h) cannot bleed draws across shards — each
 // shard's streams are a pure function of that shard's seeds, whatever
 // thread it lands on.
 #pragma once

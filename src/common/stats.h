@@ -18,8 +18,8 @@ namespace shield5g {
 // (common/secret.h) keyed as secret.declassify.<reason>.{shielded,host}
 // plus secret.declassify.denied for gate violations, and the NGAP-edge
 // queue.shed drop audit. Thread-safe and sharded by name hash: the
-// shard-pool sweep runner (sim/shard_pool.h) bumps counters from many
-// host workers concurrently, so the registry is split over sixteen
+// shard runner (sim/shards.h) bumps counters from many host workers
+// concurrently, so the registry is split over sixteen
 // independently locked sub-maps; snapshots merge them into one sorted,
 // worker-count-independent view.
 // ---------------------------------------------------------------------

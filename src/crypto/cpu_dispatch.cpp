@@ -14,8 +14,8 @@ namespace shield5g::crypto {
 namespace {
 
 // 0 = unset, 1 = scalar, 2 = accelerated. A single relaxed atomic keeps
-// the per-call dispatch branch cheap and safe under ShardPool's host
-// threads.
+// the per-call dispatch branch cheap and safe under the shard runner's
+// host threads.
 std::atomic<int> g_forced{0};
 
 struct CpuFeatures {
@@ -84,7 +84,7 @@ CryptoBackend active_backend() noexcept {
   if (forced == 1) return CryptoBackend::kScalar;
   if (forced == 2) return CryptoBackend::kAccelerated;
   // One-time init is a C++11 magic static (as is features() above):
-  // shard-pool workers racing into the first call serialize on the
+  // shard workers racing into the first call serialize on the
   // guard and every later call is a plain load — TSan-clean, audited by
   // the MonteCarlo.* thread workloads. Tests that force_backend() must
   // do so before spawning workers; the forced flag itself is atomic.

@@ -76,7 +76,7 @@ X25519Key ladder(const std::uint8_t k[32], ByteView u) {
 // Comb-table cache, shared across every shard worker of a parallel
 // sweep. Registrations hammer a stable working set — the base point,
 // the home network's ECIES key, and every attached server's TLS
-// identity — and under the shard pool (sim/shard_pool.h) all workers
+// identity — and under the shard runner (sim/shards.h) all workers
 // hammer the *same* points, so a table built once serves the process.
 //
 // Concurrency layout, from hot to cold:

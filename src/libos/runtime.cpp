@@ -6,9 +6,8 @@
 
 namespace shield5g::libos {
 
-GramineRuntime::GramineRuntime(sgx::Machine& machine, GscImage image,
-                               LibosCosts costs)
-    : machine_(machine), image_(std::move(image)), libos_costs_(costs) {
+GramineRuntime::GramineRuntime(sgx::Machine& machine, GscImage image)
+    : machine_(machine), image_(std::move(image)) {
   image_.manifest.validate();
 }
 

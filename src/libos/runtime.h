@@ -35,8 +35,7 @@ struct LibosCosts {
 
 class GramineRuntime {
  public:
-  GramineRuntime(sgx::Machine& machine, GscImage image,
-                 LibosCosts costs = {});
+  GramineRuntime(sgx::Machine& machine, GscImage image);
   ~GramineRuntime();
 
   GramineRuntime(const GramineRuntime&) = delete;
@@ -69,7 +68,6 @@ class GramineRuntime {
   void page_swap(std::uint64_t pages);
 
   const GscImage& image() const noexcept { return image_; }
-  const LibosCosts& costs() const noexcept { return libos_costs_; }
   sgx::Enclave& enclave();
   const sgx::TransitionCounters& counters() const;
 

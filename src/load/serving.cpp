@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "nf/subscriber_store.h"
-#include "sim/shard_pool.h"
+#include "sim/shards.h"
 
 namespace shield5g::load {
 
@@ -70,10 +70,10 @@ ServingReport run_serving(const ServingConfig& config, unsigned shards) {
 
   // ---- Run: job w serves slots {s : s % workers == w} in ascending
   // order (perfbench attributes per-worker busy time by this map).
-  // Results land at disjoint indices, so they need no lock; ShardPool
+  // Results land at disjoint indices, so they need no lock; run_shards
   // rethrows the first slot error once every job has finished. -------
   std::vector<SweepResult> results(kServingSlots);
-  sim::ShardPool(workers).run(workers, [&](std::size_t w) {
+  sim::run_shards(workers, workers, [&](std::size_t w) {
     for (std::size_t s = w; s < kServingSlots; s += workers) {
       results[s] = run_case(cases[s]);
     }

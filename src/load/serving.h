@@ -13,7 +13,7 @@
 // *width* (shards = worker threads, 1..slots). The caller draws one
 // global arrival schedule and partitions it up front into one SweepCase
 // per slot (population, seeds, and the slot's arrivals in global-id
-// order); then sim::ShardPool runs one job per worker, and job w serves
+// order); then sim::run_shards runs one job per worker, and job w serves
 // slots {s : s % shards == w} in ascending order through run_case's
 // explicit-arrival path.
 //
@@ -44,7 +44,7 @@ inline constexpr std::uint32_t kServingSlots = 8;
 struct ServingConfig {
   /// Per-slot deployment template. population/subscriber_count/seed are
   /// overridden per slot; everything else (isolation mode, SBI/TLS
-  /// policy, vnf workers, cost models) applies to every slot.
+  /// policy, P-AKA options, queue depth) applies to every slot.
   slice::SliceConfig slice;
   /// Global UE count across the whole plane (ids [0, ue_count)).
   std::uint32_t ue_count = 64;
@@ -86,8 +86,8 @@ struct ServingReport {
 std::uint32_t home_slot(std::string_view supi, std::uint32_t slots) noexcept;
 
 /// Runs the sharded serving plane. `shards` resolves like
-/// sim::shard_workers (0 = SHIELD5G_SHARD_WORKERS, then hardware
-/// concurrency), then clamps to the slot count.
+/// sim::shard_workers (0 = the CPUs in the affinity mask), then clamps
+/// to the slot count.
 ServingReport run_serving(const ServingConfig& config, unsigned shards = 0);
 
 }  // namespace shield5g::load

@@ -6,7 +6,7 @@
 #include <cstring>
 
 #include "common/buffer_pool.h"
-#include "sim/shard_pool.h"
+#include "sim/shards.h"
 
 namespace shield5g::load {
 
@@ -102,9 +102,9 @@ std::uint64_t case_digest(const SweepResult& r) {
 
 std::vector<SweepResult> run_sweep(const std::vector<SweepCase>& cases,
                                    unsigned workers) {
-  sim::ShardPool pool(workers);
-  return pool.map(cases.size(),
-                  [&cases](std::size_t i) { return run_case(cases[i]); });
+  return sim::map_shards(workers, cases.size(), [&cases](std::size_t i) {
+    return run_case(cases[i]);
+  });
 }
 
 std::uint64_t sweep_digest(const std::vector<SweepResult>& results) {

@@ -2,11 +2,11 @@
 //
 // A sweep is a list of fully independent experiment cases — each one a
 // complete slice deployment plus a load configuration, i.e. one shard
-// in the sense of sim/shard_pool.h. run_sweep() executes them on the
-// shard pool and returns results in case order, so the sweep's output
-// is bit-identical to running the cases sequentially whatever
-// SHIELD5G_SHARD_WORKERS says (tests/determinism_test.cpp proves it;
-// bench/shard_scaling measures the wall-clock scaling).
+// in the sense of sim/shards.h. run_sweep() executes them through
+// sim::map_shards and returns results in case order, so the sweep's
+// output is bit-identical to running the cases sequentially at any
+// worker count (tests/determinism_test.cpp proves it; bench/
+// shard_scaling measures the wall-clock scaling).
 //
 // Per-case wall time and hot-stage deltas are measured on the worker
 // that ran the case (hot-stage buckets are thread-local), so stage
@@ -59,8 +59,8 @@ struct SweepResult {
 SweepResult run_case(const SweepCase& c);
 
 /// Runs every case — one fresh slice each — and returns the results in
-/// case order. `workers` as in sim::shard_workers (0 = env, then
-/// hardware concurrency; 1 = sequential).
+/// case order. `workers` as in sim::shard_workers (0 = the CPUs in the
+/// affinity mask; 1 = sequential).
 std::vector<SweepResult> run_sweep(const std::vector<SweepCase>& cases,
                                    unsigned workers = 0);
 

@@ -136,9 +136,8 @@ Server::ServeResult Server::serve(PooledBuffer record_in,
   return result;
 }
 
-Bus::Bus(sim::VirtualClock& clock, NetCosts costs, std::uint64_t seed)
-    : clock_(clock), costs_(costs), rng_(seed),
-      ambient_client_(clock) {}
+Bus::Bus(sim::VirtualClock& clock, std::uint64_t seed)
+    : clock_(clock), rng_(seed), ambient_client_(clock) {}
 
 std::uint32_t Bus::intern(std::string_view name) {
   const auto it = ids_.find(name);

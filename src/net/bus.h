@@ -89,9 +89,6 @@ struct RequestProfile {
   std::uint32_t send_chunks = 3;
   /// Heap churn per request (EPC allocation pressure under SGX).
   std::uint64_t alloc_pages = 2;
-  /// Cold-path pages / lazy-load OCALLs triggered by the first request.
-  std::uint64_t first_request_pages = 9'000;
-  std::uint32_t first_request_ocalls = 200;
 
   static std::vector<std::pair<Sys, std::uint32_t>> default_pre();
 };
@@ -171,11 +168,10 @@ class Server {
 
 class Bus {
  public:
-  explicit Bus(sim::VirtualClock& clock, NetCosts costs = {},
-               std::uint64_t seed = 0xb05b05ULL);
+  explicit Bus(sim::VirtualClock& clock, std::uint64_t seed = 0xb05b05ULL);
 
   sim::VirtualClock& clock() noexcept { return clock_; }
-  NetCosts& costs() noexcept { return costs_; }
+  const NetCosts& costs() const noexcept { return costs_; }
   Rng& rng() noexcept { return rng_; }
 
   /// Deployment/trust domain of an attached server (DESIGN.md §18). Two

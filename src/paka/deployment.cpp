@@ -24,13 +24,13 @@ void SgxEnv::on_first_request() {
   // cold code paths (paper §V-B4: the initial request "invokes several
   // OCALLs and ECALLs to load drivers and other network stack
   // dependencies"); once cached, subsequent requests are served fast.
-  std::uint64_t pages = first_request_pages;
+  std::uint64_t pages = kFirstRequestPages;
   if (!runtime_.image().manifest.preheat_enclave) {
     // Without preheat the first requests additionally fault the whole
     // heap working set (the cost preheat moved into the load phase).
     pages += 45'000;
   }
-  runtime_.touch_cold_path(pages, first_request_ocalls);
+  runtime_.touch_cold_path(pages, kFirstRequestOcalls);
 }
 
 void SgxEnv::on_request(std::uint64_t /*request_index*/) {
@@ -156,8 +156,8 @@ sim::Nanos PakaService::deploy() {
   net::ServiceQueue::Config queue;
   queue.workers = options_.isolation == Isolation::kSgx
                       ? options_.sgx_workers()
-                      : options_.container_workers;
-  queue.capacity = options_.queue_capacity;
+                      : kContainerWorkers;
+  queue.capacity = kQueueCapacity;
   server_.queue().configure(queue);
 
   server_.reset_served();

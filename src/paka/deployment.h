@@ -43,8 +43,8 @@ class SgxEnv final : public net::ExecutionEnv {
   bool is_sgx() const override { return true; }
 
   /// Cold-path profile for the first request (Fig. 10b).
-  std::uint64_t first_request_pages = 9'000;
-  std::uint32_t first_request_ocalls = 200;
+  static constexpr std::uint64_t kFirstRequestPages = 9'000;
+  static constexpr std::uint32_t kFirstRequestOcalls = 200;
 
  private:
   libos::GramineRuntime& runtime_;
@@ -57,16 +57,12 @@ struct PakaOptions {
   std::uint32_t max_threads = 4;          // paper default: 4
   bool preheat = true;
   bool exitless = false;  // paper §V-B7 future-work feature
-  /// Request workers of the module's HTTP server under container
-  /// isolation. Under SGX the worker count is instead derived from the
-  /// TCS budget: max_threads minus the Gramine helper threads (IPC,
-  /// async events, pipe-TLS), floor 1 — the paper's "3 helpers + 1
-  /// worker" layout at the default max_threads = 4.
-  std::uint32_t container_workers = 4;
-  /// Bounded FIFO depth in front of the worker pool (0 = unbounded).
-  std::uint32_t queue_capacity = 128;
 
-  /// Enclave worker threads left after the Gramine helpers.
+  /// Enclave worker threads: the TCS budget max_threads minus the
+  /// Gramine helper threads (IPC, async events, pipe-TLS), floor 1 — the
+  /// paper's "3 helpers + 1 worker" layout at the default max_threads =
+  /// 4. Under container isolation the module runs
+  /// PakaService::kContainerWorkers instead.
   std::uint32_t sgx_workers() const noexcept {
     constexpr std::uint32_t kGramineHelpers = 3;
     return max_threads > kGramineHelpers ? max_threads - kGramineHelpers : 1;
@@ -123,6 +119,11 @@ class PakaService {
 
   /// Modeled container cold-start time (image pull cached).
   static constexpr sim::Nanos kContainerStart = 850 * sim::kMillisecond;
+  /// Request workers of the module's HTTP server under container
+  /// isolation.
+  static constexpr std::uint32_t kContainerWorkers = 4;
+  /// Bounded FIFO depth in front of the module's workers.
+  static constexpr std::uint32_t kQueueCapacity = 128;
 
  protected:
   /// Subclasses register their REST endpoints here.

@@ -7,12 +7,8 @@
 namespace shield5g::ran {
 
 Gnb::Gnb(sim::VirtualClock& clock, nf::Amf& amf, CellConfig cell,
-         RadioCosts radio_costs, NgapCosts ngap_costs, std::uint64_t seed)
-    : clock_(clock),
-      amf_(amf),
-      cell_(std::move(cell)),
-      radio_(clock, radio_costs, seed),
-      ngap_(ngap_costs) {
+         std::uint64_t seed)
+    : clock_(clock), amf_(amf), cell_(std::move(cell)), radio_(clock, seed) {
   // NG Setup: register this gNB (and its broadcast PLMN) with the AMF.
   const auto response = exchange_ngap(
       nf::NgapMessage::ng_setup_request(cell_.plmn, cell_.name));

@@ -21,7 +21,6 @@ class Gnb {
   /// NGAP; the AMF admits the gNB only when the broadcast PLMN matches
   /// its served PLMN.
   Gnb(sim::VirtualClock& clock, nf::Amf& amf, CellConfig cell,
-      RadioCosts radio_costs = {}, NgapCosts ngap_costs = {},
       std::uint64_t seed = 0x9bb5eedULL);
 
   const CellConfig& cell() const noexcept { return cell_; }

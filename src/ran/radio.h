@@ -29,16 +29,14 @@ struct RadioCosts {
 
 class RadioLink {
  public:
-  RadioLink(sim::VirtualClock& clock, RadioCosts costs, std::uint64_t seed)
-      : clock_(clock), costs_(costs), rng_(seed) {}
+  RadioLink(sim::VirtualClock& clock, std::uint64_t seed)
+      : clock_(clock), rng_(seed) {}
 
   /// Charges one air-interface traversal (either direction).
   void traverse(std::size_t bytes);
 
   /// Charges the RRC connection setup exchange.
   void rrc_setup();
-
-  const RadioCosts& costs() const noexcept { return costs_; }
 
  private:
   sim::VirtualClock& clock_;

@@ -5,10 +5,9 @@
 
 namespace shield5g::sgx {
 
-Machine::Machine(sim::VirtualClock& clock, CostModel costs, std::uint64_t seed)
+Machine::Machine(sim::VirtualClock& clock, std::uint64_t seed)
     : clock_(clock),
-      costs_(costs),
-      epc_(costs.epc_total_bytes, costs.page_size),
+      epc_(costs_.epc_total_bytes, costs_.page_size),
       rng_(seed) {
   seal_fuse_key_ = rng_.bytes(32);
   attestation_key_ = rng_.bytes(32);

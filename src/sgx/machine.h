@@ -18,8 +18,8 @@ namespace shield5g::sgx {
 
 class Machine {
  public:
-  Machine(sim::VirtualClock& clock, CostModel costs = {},
-          std::uint64_t seed = 0x56474d53ULL);
+  explicit Machine(sim::VirtualClock& clock,
+                   std::uint64_t seed = 0x56474d53ULL);
   ~Machine();
 
   Machine(const Machine&) = delete;

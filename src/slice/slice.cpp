@@ -27,8 +27,8 @@ const char* isolation_mode_name(IsolationMode mode) noexcept {
 
 Slice::Slice(SliceConfig config)
     : config_(std::move(config)),
-      machine_(clock_, config_.sgx_costs, config_.seed ^ 0x5658ULL),
-      bus_(clock_, config_.net_costs, config_.seed ^ 0xb05ULL),
+      machine_(clock_, config_.seed ^ 0x5658ULL),
+      bus_(clock_, config_.seed ^ 0xb05ULL),
       cred_rng_(config_.seed ^ 0xc4edULL) {
   // Resumption must be armed before any attach() below so every server
   // gets a ticket issuer; the pool is seeded from the slice seed so a
@@ -102,7 +102,7 @@ Slice::Slice(SliceConfig config)
     eamf_ = std::make_unique<paka::EamfAkaService>(machine_, bus_, paka);
   }
 
-  const net::ServiceQueue::Config vnf_queue{config_.vnf_workers,
+  const net::ServiceQueue::Config vnf_queue{kVnfWorkers,
                                             config_.vnf_queue_capacity};
   for (nf::Vnf* vnf : std::initializer_list<nf::Vnf*>{
            udr_.get(), nrf_.get(), smf_.get(), udm_.get(), ausf_.get(),
@@ -112,7 +112,7 @@ Slice::Slice(SliceConfig config)
 
   gnb_ = std::make_unique<ran::Gnb>(
       clock_, *amf_, ran::CellConfig{config_.plmn, 3.6192, 106, "oai-gnb"},
-      ran::RadioCosts{}, ran::NgapCosts{}, config_.seed ^ 0x69bULL);
+      config_.seed ^ 0x69bULL);
   gnbsim_ = std::make_unique<ran::GnbSim>(*gnb_);
 }
 

@@ -54,10 +54,10 @@ struct SliceConfig {
   /// SUCI concealment. Deterministically seeded from `seed`, so sweeps
   /// stay reproducible; off by default for the same oracle reason.
   bool eph_pool = false;
-  /// Request workers per core VNF (UDR/UDM/AUSF/AMF/SMF/NRF) and the
-  /// bounded FIFO depth in front of them. P-AKA module concurrency is
-  /// configured separately via `paka` (TCS-derived under SGX).
-  std::uint32_t vnf_workers = 4;
+  /// Bounded FIFO depth in front of each core VNF's request workers
+  /// (UDR/UDM/AUSF/AMF/SMF/NRF, Slice::kVnfWorkers each). P-AKA module
+  /// concurrency is configured separately via `paka` (TCS-derived under
+  /// SGX).
   std::uint32_t vnf_queue_capacity = 256;
   std::uint64_t seed = 0x51C3ULL;
   /// Serving-plane population mode (load/serving.h): when non-empty,
@@ -71,8 +71,6 @@ struct SliceConfig {
   /// population[i]. Empty (the default) keeps the sequential-draw path
   /// bit-identical to every prior PR.
   std::vector<std::uint32_t> population;
-  net::NetCosts net_costs;
-  sgx::CostModel sgx_costs;
 };
 
 /// Everything a bench needs to know about slice creation.
@@ -87,6 +85,9 @@ struct SliceCreation {
 
 class Slice {
  public:
+  /// Request workers per core VNF.
+  static constexpr std::uint32_t kVnfWorkers = 4;
+
   explicit Slice(SliceConfig config);
   ~Slice();
 

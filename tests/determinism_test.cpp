@@ -3,7 +3,7 @@
 // traces and summary statistics across independent runs. This is the
 // property every experiment in EXPERIMENTS.md leans on — without it the
 // load benches would not be reproducible.
-// The shard-pool sweeps extend the property across host threads: a
+// The sharded sweeps extend the property across host threads: a
 // parallel sweep must be bit-identical to the sequential one at every
 // worker count (the ShardedSweep tests below).
 #include <gtest/gtest.h>

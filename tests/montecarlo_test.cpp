@@ -1,4 +1,4 @@
-// Monte Carlo seed sweeps on sim::ShardPool: determinism independent of
+// Monte Carlo seed sweeps on sim::map_shards: determinism independent of
 // thread count, and thread-safety of the shared mutable state the shard
 // runner exposes — the declassify audit counters, the sharded stats
 // registry, and the process-wide X25519 comb-table cache.
@@ -24,7 +24,7 @@
 #include "load/serving.h"
 #include "net/tls.h"
 #include "nf/subscriber_store.h"
-#include "sim/shard_pool.h"
+#include "sim/shards.h"
 
 namespace shield5g {
 namespace {
@@ -44,15 +44,15 @@ std::uint64_t job(std::size_t seed) {
 }
 
 TEST(MonteCarlo, ResultsIndependentOfThreadCount) {
-  const auto serial = sim::ShardPool(1).map(96, job);
-  const auto parallel = sim::ShardPool(8).map(96, job);
+  const auto serial = sim::map_shards(1, 96, job);
+  const auto parallel = sim::map_shards(8, 96, job);
   ASSERT_EQ(serial.size(), parallel.size());
   EXPECT_EQ(serial, parallel);
 }
 
 TEST(MonteCarlo, DeclassifyCountersAccumulateAcrossThreads) {
   counters_reset();
-  (void)sim::ShardPool(8).map(200, job);
+  (void)sim::map_shards(8, 200, job);
   // Every job declassifies exactly once; the counter map is shared
   // mutable state across all host threads (the TSan target).
   EXPECT_EQ(counter_value("secret.declassify.transport.host"), 200u);
@@ -60,8 +60,8 @@ TEST(MonteCarlo, DeclassifyCountersAccumulateAcrossThreads) {
 }
 
 TEST(MonteCarlo, ZeroJobsAndImplicitThreadCount) {
-  EXPECT_TRUE(sim::ShardPool().map(0, job).empty());
-  EXPECT_EQ(sim::ShardPool().map(3, job).size(), 3u);
+  EXPECT_TRUE(sim::map_shards(0, 0, job).empty());
+  EXPECT_EQ(sim::map_shards(0, 3, job).size(), 3u);
 }
 
 class ForcedBackend {
@@ -113,13 +113,13 @@ TEST(MonteCarlo, SharedCombCacheIsRaceFreeAndThreadCountInvariant) {
   const std::vector<Bytes> points = comb_hammer_points();
 
   crypto::detail::x25519_cache_reset();
-  const auto serial = sim::ShardPool(1).map(
-      32, [&points](std::size_t i) { return comb_job(points, i); });
+  const auto serial = sim::map_shards(
+      1, 32, [&points](std::size_t i) { return comb_job(points, i); });
   const std::size_t serial_cache = crypto::detail::x25519_cache_size();
 
   crypto::detail::x25519_cache_reset();
-  const auto parallel = sim::ShardPool(8).map(
-      32, [&points](std::size_t i) { return comb_job(points, i); });
+  const auto parallel = sim::map_shards(
+      8, 32, [&points](std::size_t i) { return comb_job(points, i); });
   const std::size_t parallel_cache = crypto::detail::x25519_cache_size();
 
   // Same keys regardless of which thread built or reused each table.
@@ -170,13 +170,13 @@ std::uint64_t pool_job(std::size_t seed) {
 TEST(MonteCarlo, BufferPoolHammerIsRaceFreeAndThreadCountInvariant) {
   BufferPool::publish_thread_stats();  // flush stale main-thread deltas
   counters_reset();
-  const auto serial = sim::ShardPool(1).map(96, pool_job);
+  const auto serial = sim::map_shards(1, 96, pool_job);
   const std::uint64_t serial_acquires =
       counter_value("wire.pool.hit") + counter_value("wire.pool.miss");
   const std::uint64_t serial_bytes = counter_value("wire.pool.bytes");
 
   counters_reset();
-  const auto parallel = sim::ShardPool(8).map(96, pool_job);
+  const auto parallel = sim::map_shards(8, 96, pool_job);
   const std::uint64_t parallel_acquires =
       counter_value("wire.pool.hit") + counter_value("wire.pool.miss");
 
@@ -207,7 +207,7 @@ TEST(MonteCarlo, EphemeralPoolHammerIsRaceFreeAndThreadCountInvariant) {
     // Commutative fold (sum of per-key folds): hand-out order differs
     // per schedule, the multiset of keys must not.
     const auto acquired =
-        sim::ShardPool(threads).map(96, [&pool](std::size_t) {
+        sim::map_shards(threads, 96, [&pool](std::size_t) {
           std::uint64_t acc = 0;
           for (int i = 0; i < 5; ++i) {
             const crypto::X25519KeyPair kp = pool.acquire();
@@ -253,8 +253,8 @@ TEST(MonteCarlo, TicketIssuerHammerIsRaceFreeAndSingleUseHolds) {
   // this against the same mutex the Bus uses per attachment.
   net::TicketIssuer issuer{SecretView(Bytes(32, 0x66)),
                            net::TicketIssuer::kDefaultLifetimeNs};
-  const auto verdicts = sim::ShardPool(8).map(
-      128, [&issuer](std::size_t i) -> std::uint64_t {
+  const auto verdicts = sim::map_shards(
+      8, 128, [&issuer](std::size_t i) -> std::uint64_t {
         Rng rng(static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL + 11);
         const Secret<32> secret{ByteView(rng.bytes(32))};
         const Bytes ticket = issuer.issue(secret, /*now_ns=*/0, rng);
@@ -275,7 +275,7 @@ TEST(MonteCarlo, ShardedCounterRegistryAccumulatesAcrossThreads) {
   counters_reset();
   // 24 distinct names spread across the registry's internal shards,
   // bumped from 8 threads, plus one name every thread fights over.
-  (void)sim::ShardPool(8).map(96, [](std::size_t i) {
+  (void)sim::map_shards(8, 96, [](std::size_t i) {
     counter_add("mc.shard." + std::to_string(i % 24));
     counter_add("mc.contended", 3);
     return i;
@@ -313,8 +313,8 @@ TEST(MonteCarlo, ColumnarStoreConcurrentReadersAgree) {
     rec.sqn = 0x100 + 0x40ULL * i;
     store.provision(rec);
   }
-  const auto digests = sim::ShardPool(8).map(
-      32, [&store](std::size_t seed) {
+  const auto digests = sim::map_shards(
+      8, 32, [&store](std::size_t seed) {
         std::uint64_t acc = 0xcbf29ce484222325ULL;
         for (std::uint32_t n = 0; n < kRows; ++n) {
           const std::uint32_t row = (n + static_cast<std::uint32_t>(seed)) %
@@ -326,8 +326,8 @@ TEST(MonteCarlo, ColumnarStoreConcurrentReadersAgree) {
         }
         return acc;
       });
-  const auto serial = sim::ShardPool(1).map(
-      32, [&store](std::size_t seed) {
+  const auto serial = sim::map_shards(
+      1, 32, [&store](std::size_t seed) {
         std::uint64_t acc = 0xcbf29ce484222325ULL;
         for (std::uint32_t n = 0; n < kRows; ++n) {
           const std::uint32_t row = (n + static_cast<std::uint32_t>(seed)) %
@@ -344,7 +344,7 @@ TEST(MonteCarlo, ColumnarStoreConcurrentReadersAgree) {
 
 TEST(MonteCarlo, ServingPlaneHammerMatchesSequentialDigest) {
   // End-to-end hammer for the TSan stage: the full sharded serving
-  // plane (per-slot slices on ShardPool worker threads) must match its
+  // plane (per-slot slices on shard worker threads) must match its
   // own sequential digest while racing detectors watch.
   load::ServingConfig cfg;
   cfg.slice.mode = slice::IsolationMode::kContainer;

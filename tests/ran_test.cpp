@@ -172,7 +172,7 @@ TEST(Radio, PlmnSearchFindsMatchingCell) {
 
 TEST(Radio, LinkChargesAirLatency) {
   sim::VirtualClock clock;
-  RadioLink link(clock, RadioCosts{}, 1);
+  RadioLink link(clock, 1);
   const sim::Nanos t0 = clock.now();
   link.traverse(100);
   const sim::Nanos cost = clock.now() - t0;

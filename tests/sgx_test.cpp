@@ -242,7 +242,7 @@ TEST_F(SgxFixture, UnsealRejectsOtherMachine) {
   const SealedBlob blob = seal(e, to_bytes("secret"), rng.bytes(16));
 
   sim::VirtualClock clock2;
-  Machine other(clock2, CostModel{}, /*seed=*/999);
+  Machine other(clock2, /*seed=*/999);
   Enclave& e2 = other.create_enclave(
       EnclaveConfig{"sealer-d", 64ULL << 20, 4, false});
   e2.add_pages(64ULL << 20, Bytes{1, 2, 3});
@@ -302,7 +302,7 @@ TEST_F(SgxFixture, ForgedQuoteRejected) {
 
 TEST_F(SgxFixture, QuoteFromOtherPlatformRejected) {
   sim::VirtualClock clock2;
-  Machine other(clock2, CostModel{}, /*seed=*/4242);
+  Machine other(clock2, /*seed=*/4242);
   Enclave& e2 =
       other.create_enclave(EnclaveConfig{"rogue", 64ULL << 20, 4, false});
   e2.add_pages(64ULL << 20, Bytes{9});

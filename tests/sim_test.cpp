@@ -1,10 +1,12 @@
-// Virtual clock, discrete-event scheduler and shard-pool tests.
+// Virtual clock, discrete-event scheduler and shard-runner tests.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -13,7 +15,7 @@
 #include "common/stats.h"
 #include "sim/clock.h"
 #include "sim/scheduler.h"
-#include "sim/shard_pool.h"
+#include "sim/shards.h"
 
 namespace shield5g::sim {
 namespace {
@@ -336,66 +338,40 @@ TEST(ClockSpan, DestructorRewindsWhenNotClosed) {
   EXPECT_EQ(clock.now(), 500u);
 }
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, /*overwrite=*/1);
-    }
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
-TEST(ShardWorkers, ExplicitRequestBeatsEnvironment) {
-  ScopedEnv env("SHIELD5G_SHARD_WORKERS", "7");
+TEST(ShardWorkers, ExplicitRequestBeatsAffinityMask) {
+  EXPECT_EQ(shard_workers(1), 1u);
   EXPECT_EQ(shard_workers(3), 3u);
-  EXPECT_EQ(shard_workers(), 7u);
+  EXPECT_EQ(shard_workers(7), 7u);
 }
 
-TEST(ShardWorkers, BadEnvironmentFallsBackToHardware) {
-  // Only plain decimal digits count: a trailing suffix, a sign,
-  // surrounding spaces or an exponent fall back exactly like "nope".
-  // Resolves the count only; no pool is built from these values.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned expect = hw == 0 ? 1u : (hw < 256 ? hw : 256u);
-  for (const char* value :
-       {"0", "nope", "2x", "+3", " 3", "3 ", "1e3", "", "-2"}) {
-    ScopedEnv env("SHIELD5G_SHARD_WORKERS", value);
-    EXPECT_EQ(shard_workers(), expect) << "value '" << value << "'";
-  }
-  ScopedEnv env("SHIELD5G_SHARD_WORKERS", nullptr);
-  EXPECT_EQ(shard_workers(), expect);
+TEST(ShardWorkers, DefaultIsAffinityMaskCount) {
+  // No count asked for: one worker per CPU this process may run on, so
+  // `taskset` narrows the width.
+  cpu_set_t mask{};
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  const auto cpus = static_cast<unsigned>(CPU_COUNT(&mask));
+  EXPECT_EQ(shard_workers(), cpus < 256 ? cpus : 256u);
 }
 
 TEST(ShardWorkers, AbsurdCountsAreClamped) {
-  ScopedEnv env("SHIELD5G_SHARD_WORKERS", "999999");
-  EXPECT_EQ(shard_workers(), 256u);
+  // Resolves the count only; no thread is started from these values.
+  EXPECT_EQ(shard_workers(256), 256u);
+  EXPECT_EQ(shard_workers(257), 256u);
   EXPECT_EQ(shard_workers(100000), 256u);
-  // Past any integer width: saturates rather than wrapping.
-  ScopedEnv huge("SHIELD5G_SHARD_WORKERS", "123456789012345678901234567890");
-  EXPECT_EQ(shard_workers(), 256u);
 }
 
-TEST(ShardPool, MapReturnsResultsInJobOrder) {
-  ShardPool pool(4);
-  EXPECT_EQ(pool.workers(), 4u);
+TEST(RunShards, MapReturnsResultsInJobOrder) {
   const std::vector<std::size_t> out =
-      pool.map(100, [](std::size_t i) { return i * i; });
+      map_shards(4, 100, [](std::size_t i) { return i * i; });
   ASSERT_EQ(out.size(), 100u);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], i * i) << "job " << i;
   }
 }
 
-TEST(ShardPool, RunExecutesEveryJobExactlyOnce) {
-  ShardPool pool(3);
+TEST(RunShards, RunExecutesEveryJobExactlyOnce) {
   std::vector<std::atomic<int>> hits(64);
-  pool.run(64, [&hits](std::size_t i) {
+  run_shards(3, 64, [&hits](std::size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (std::size_t i = 0; i < hits.size(); ++i) {
@@ -403,55 +379,50 @@ TEST(ShardPool, RunExecutesEveryJobExactlyOnce) {
   }
 }
 
-TEST(ShardPool, PoolIsReusableAcrossRuns) {
-  // Back-to-back batches on one pool: a stale worker from the first
-  // batch must not claim or double-run jobs of the second.
-  ShardPool pool(4);
-  for (int round = 0; round < 10; ++round) {
-    std::atomic<int> ran{0};
-    pool.run(17, [&ran](std::size_t) {
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(ran.load(), 17) << "round " << round;
+TEST(RunShards, SingleWorkerRunsInlineOnCaller) {
+  // workers=1 is the sequential reference path: no thread is started,
+  // so thread-hostile callers see the single-threaded behavior.
+  std::vector<std::thread::id> seen(5);
+  run_shards(1, 5, [&seen](std::size_t i) {
+    seen[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : seen) {
+    EXPECT_EQ(id, std::this_thread::get_id());
   }
 }
 
-TEST(ShardPool, SingleWorkerRunsInlineOnCaller) {
-  // workers=1 is the sequential reference path: no pool threads touch
-  // the jobs, so thread-hostile callers see today's behavior.
-  ShardPool pool(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::thread::id> seen(5);
-  pool.run(5, [&seen, caller](std::size_t i) { seen[i] = caller; });
-  for (const std::thread::id id : seen) EXPECT_EQ(id, caller);
-}
-
-TEST(ShardPool, FirstExceptionPropagatesAfterDrain) {
-  ShardPool pool(4);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(
-      pool.run(32,
-               [&ran](std::size_t i) {
-                 ran.fetch_add(1, std::memory_order_relaxed);
-                 if (i == 5) throw std::runtime_error("shard 5 failed");
-               }),
-      std::runtime_error);
-  // The batch drains before rethrow — no job is abandoned mid-flight.
-  EXPECT_EQ(ran.load(), 32);
-  // The pool survives a failed batch.
-  std::atomic<int> again{0};
-  pool.run(8, [&again](std::size_t) {
-    again.fetch_add(1, std::memory_order_relaxed);
+TEST(RunShards, WidthIsCappedByJobCount) {
+  // Eight workers asked for, two jobs: only one thread besides the
+  // caller starts, so at most two threads run jobs.
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  run_shards(8, 2, [&](std::size_t) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    threads.insert(std::this_thread::get_id());
   });
-  EXPECT_EQ(again.load(), 8);
+  EXPECT_GE(threads.size(), 1u);
+  EXPECT_LE(threads.size(), 2u);
 }
 
-TEST(ShardPool, ZeroJobsIsANoop) {
-  ShardPool pool(4);
+TEST(RunShards, FirstExceptionPropagatesAfterDrain) {
+  std::atomic<int> ran{0};
+  EXPECT_THROW(run_shards(4, 32,
+                          [&ran](std::size_t i) {
+                            ran.fetch_add(1, std::memory_order_relaxed);
+                            if (i == 5) {
+                              throw std::runtime_error("shard 5 failed");
+                            }
+                          }),
+               std::runtime_error);
+  // Every job runs before the rethrow: none is abandoned mid-flight.
+  EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(RunShards, ZeroJobsIsANoop) {
   bool touched = false;
-  pool.run(0, [&touched](std::size_t) { touched = true; });
+  run_shards(4, 0, [&touched](std::size_t) { touched = true; });
   EXPECT_FALSE(touched);
-  EXPECT_TRUE(pool.map(0, [](std::size_t i) { return i; }).empty());
+  EXPECT_TRUE(map_shards(4, 0, [](std::size_t i) { return i; }).empty());
 }
 
 }  // namespace
