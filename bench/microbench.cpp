@@ -4,8 +4,6 @@
 // real wall-clock throughput of the from-scratch implementations.
 #include <benchmark/benchmark.h>
 
-#include <vector>
-
 #include "common/buffer_pool.h"
 #include "common/rng.h"
 #include "crypto/aes128.h"
@@ -87,8 +85,8 @@ BENCHMARK(BM_HeAvGeneration);
 
 // A fresh point on every call, as a TLS server or a SUCI de-conceal
 // sees it: each output is the next call's point (perfbench's
-// crypto.x25519_us probe does the same), so the comb cache never serves
-// it and this times the Montgomery ladder.
+// crypto.x25519_us probe does the same). x25519() takes the ladder for
+// any point, so this times the Montgomery ladder.
 void BM_X25519Ladder(benchmark::State& state) {
   Rng rng(5);
   const Bytes scalar = rng.bytes(32);
@@ -100,14 +98,14 @@ void BM_X25519Ladder(benchmark::State& state) {
 }
 BENCHMARK(BM_X25519Ladder);
 
-// The same peer key on every call: from its 4th sighting the comb
-// cache serves it, as it does a client's repeated server identity.
+// The same pinned key on every call: the comb cache serves it from its
+// first use, as it does a client's server identity.
 void BM_X25519Comb(benchmark::State& state) {
   Rng rng(5);
   const Bytes scalar = rng.bytes(32);
   const auto peer = crypto::x25519_keypair(rng.bytes(32));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::x25519(scalar, peer.public_key));
+    benchmark::DoNotOptimize(crypto::x25519_pinned(scalar, peer.public_key));
   }
 }
 BENCHMARK(BM_X25519Comb);
@@ -153,23 +151,16 @@ void BM_SuciConceal(benchmark::State& state) {
 }
 BENCHMARK(BM_SuciConceal);
 
-// Cycles through 64 SUCIs, more than the comb's 32-entry sighting LRU,
-// so no ephemeral key graduates to a comb table: every de-conceal runs
+// The SUCI's ephemeral key is a wire point, so every de-conceal runs
 // the ladder, as it does for the workloads' one-shot SUCIs.
 void BM_SuciDeconceal(benchmark::State& state) {
   Rng rng(7);
   const auto hn = crypto::x25519_keypair(rng.bytes(32));
-  std::vector<crypto::Suci> sucis;
-  for (int i = 0; i < 64; ++i) {
-    sucis.push_back(crypto::conceal_supi(
-        "001", "01", "0000000001", crypto::SuciScheme::kProfileA,
-        hn.public_key, rng.bytes(32)));
-  }
-  std::size_t next = 0;
+  const crypto::Suci suci = crypto::conceal_supi(
+      "001", "01", "0000000001", crypto::SuciScheme::kProfileA,
+      hn.public_key, rng.bytes(32));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        crypto::deconceal_suci(sucis[next], hn.private_key));
-    next = (next + 1) % sucis.size();
+    benchmark::DoNotOptimize(crypto::deconceal_suci(suci, hn.private_key));
   }
 }
 BENCHMARK(BM_SuciDeconceal);

@@ -27,12 +27,12 @@
 #include <fstream>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "json/json.h"
 #include "load/sweep.h"
+#include "sim/shards.h"
 #include "slice/slice.h"
 
 using namespace shield5g;
@@ -203,7 +203,9 @@ std::string hex64(std::uint64_t v) {
 
 int main(int argc, char** argv) {
   const Options opt = parse_args(argc, argv);
-  const unsigned cores = std::thread::hardware_concurrency();
+  // The CPUs the shard workers can run on (the affinity mask, which
+  // taskset narrows), the bound on any speedup below.
+  const unsigned cores = sim::shard_workers();
   const std::vector<load::SweepCase> cases = make_cases(opt.smoke);
 
   bench::heading("SHARD SCALING: deterministic sweep at 1..N workers");

@@ -39,7 +39,9 @@
 #                             # scalar crypto backend, each diffed
 #                             # byte-for-byte against the default
 #                             # sequential reference, and the scalar
-#                             # pass against the checked-in golden file
+#                             # pass against the checked-in golden file,
+#                             # then the paper benches' scalar-backend
+#                             # stdout against their golden files
 #                             # (co-located fast path on vs off is the
 #                             # tier-1 Determinism suite's job)
 set -euo pipefail
@@ -143,8 +145,11 @@ case "$stage" in
   digest-parity)
     build="${BUILD_DIR:-$repo/build}"
     cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
+    paper_benches="table2_overhead table3_sgx_stats fig7_enclave_load
+                   e2e_session_setup"
+    # shellcheck disable=SC2086  # one target per word
     cmake --build "$build" --target kernel_parity_test fe25519_test \
-          shard_scaling -j "$jobs"
+          shard_scaling $paper_benches -j "$jobs"
     # Bit-identity across crypto dispatch: the parity suite (random
     # scalars/points incl. twist and u=0, RFC 7748 vectors, op-count
     # parity) and the field range tests (the safegcd inversion, and the
@@ -210,6 +215,14 @@ case "$stage" in
     # backend to.
     diff -u "$repo/tests/golden/shard_scaling_smoke.txt" \
       "${digests}_scalar_seq.txt"
+    # The paper metrics' golden files hold under the scalar backend too.
+    paper_bins=""
+    for bench in $paper_benches; do
+      paper_bins="$paper_bins $build/bench/$bench"
+    done
+    # shellcheck disable=SC2086  # one binary per word
+    SHIELD5G_CRYPTO_BACKEND=scalar sh "$repo/tests/golden_paper.sh" \
+      "$repo/tests/golden" "$build/golden_paper_scalar" $paper_bins
     echo "digest-parity: OK"
     ;;
   *)

@@ -22,7 +22,9 @@ constexpr std::size_t kCounterShards = 16;
 
 struct CounterShard {
   std::mutex mutex;
-  std::map<std::string, std::uint64_t> counters SHIELD_GUARDED_BY(mutex);
+  // std::less<> finds a name by view, without building a std::string.
+  std::map<std::string, std::uint64_t, std::less<>> counters
+      SHIELD_GUARDED_BY(mutex);
 };
 
 CounterShard* counter_shards() {
@@ -32,7 +34,7 @@ CounterShard* counter_shards() {
   return shards;
 }
 
-std::size_t shard_index(const std::string& name) noexcept {
+std::size_t shard_index(std::string_view name) noexcept {
   // FNV-1a over the name; the low bits pick the shard.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : name) {
@@ -41,30 +43,39 @@ std::size_t shard_index(const std::string& name) noexcept {
   return static_cast<std::size_t>(h % kCounterShards);
 }
 
+// The named counter, created at zero on its first use: the only time
+// its name is copied.
+std::uint64_t& counter_slot(CounterShard& shard, std::string_view name)
+    SHIELD_REQUIRES(shard.mutex) {
+  auto it = shard.counters.find(name);
+  if (it == shard.counters.end()) it = shard.counters.emplace(name, 0).first;
+  return it->second;
+}
+
 }  // namespace
 
-void counter_add(const std::string& name, std::uint64_t delta) noexcept {
+void counter_add(std::string_view name, std::uint64_t delta) noexcept {
   try {
     CounterShard& shard = counter_shards()[shard_index(name)];
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.counters[name] += delta;
+    counter_slot(shard, name) += delta;
   } catch (...) {
     // Allocation failure while accounting must not take down a request.
   }
 }
 
-void counter_max(const std::string& name, std::uint64_t value) noexcept {
+void counter_max(std::string_view name, std::uint64_t value) noexcept {
   try {
     CounterShard& shard = counter_shards()[shard_index(name)];
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    std::uint64_t& slot = shard.counters[name];
+    std::uint64_t& slot = counter_slot(shard, name);
     if (value > slot) slot = value;
   } catch (...) {
     // Allocation failure while accounting must not take down a request.
   }
 }
 
-std::uint64_t counter_value(const std::string& name) noexcept {
+std::uint64_t counter_value(std::string_view name) noexcept {
   CounterShard& shard = counter_shards()[shard_index(name)];
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.counters.find(name);

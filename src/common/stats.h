@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace shield5g {
@@ -21,18 +22,19 @@ namespace shield5g {
 // shard runner (sim/shards.h) bumps counters from many host workers
 // concurrently, so the registry is split over sixteen
 // independently locked sub-maps; snapshots merge them into one sorted,
-// worker-count-independent view.
+// worker-count-independent view. A counter's first bump copies its
+// name; later bumps look it up as a view and build no string.
 // ---------------------------------------------------------------------
 
 /// Adds `delta` to the named counter (creating it at zero).
-void counter_add(const std::string& name, std::uint64_t delta = 1) noexcept;
+void counter_add(std::string_view name, std::uint64_t delta = 1) noexcept;
 
 /// Raises the named counter to `value` if it is currently lower
 /// (high-water marks, e.g. scheduler.events.peak). Never lowers it.
-void counter_max(const std::string& name, std::uint64_t value) noexcept;
+void counter_max(std::string_view name, std::uint64_t value) noexcept;
 
 /// Current value; 0 for a counter never touched.
-std::uint64_t counter_value(const std::string& name) noexcept;
+std::uint64_t counter_value(std::string_view name) noexcept;
 
 /// Clears every counter (tests isolate themselves with this).
 void counters_reset() noexcept;

@@ -90,7 +90,8 @@ EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
 
 EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
                               const X25519KeyPair& ephemeral) {
-  const X25519Key shared = x25519(ephemeral.private_key, receiver_public);
+  const X25519Key shared =
+      x25519_pinned(ephemeral.private_key, receiver_public);
   return encrypt_with(ephemeral, shared, plaintext);
 }
 

@@ -33,7 +33,8 @@ struct EciesCiphertext {
 Bytes x963_kdf(SecretView shared_secret, ByteView shared_info,
                std::size_t out_len);
 
-/// Encrypts `plaintext` to the receiver's X25519 public key.
+/// Encrypts `plaintext` to the receiver's X25519 public key, a pinned
+/// key (the home network's) that x25519_pinned() comb-caches.
 /// `ephemeral_random` supplies the 32 bytes of ephemeral-key entropy so
 /// callers control determinism.
 EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,

@@ -6,9 +6,9 @@
 // path. This pool keeps a ring of pregenerated key pairs, refilled in
 // batches from its own deterministic RNG stream: consumers (the Bus's
 // client handshakes and the UE's SUCI conceal) acquire() a ready pair
-// and pay only the one variable-base x25519() against the peer key,
-// which the comb cache (crypto/x25519.cpp) serves once the peer key
-// is stable.
+// and pay only the one x25519_pinned() against the peer key, which
+// the pinned-key comb cache (crypto/x25519.cpp) serves from its first
+// use.
 //
 // Determinism contract: one pool per Slice, seeded from the slice seed,
 // consumed in the slice's deterministic event order — so sweep digests

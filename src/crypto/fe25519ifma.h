@@ -268,8 +268,10 @@ inline Fe4 wrap152(const Fe4& g) {
 /// with i + j >= 6 weighs 2^258 * 2^43(i+j-6) ≡ 152 * 2^43(i+j-6), so it
 /// is taken as f_i * (152 g_j) straight into column i + j - 6: six low
 /// and six high columns, and only the high halves of the i + j = 5
-/// products (high column 6) still wrap by 152.
-inline Fe4 mul4(const Fe4& f, const Fe4& g, const Fe4& g152) {
+/// products (high column 6) still wrap by 152. Always inlined, so the
+/// comb's and the ladder's operands stay in registers.
+[[gnu::always_inline]] inline Fe4 mul4(const Fe4& f, const Fe4& g,
+                                       const Fe4& g152) {
   // hi[c] collects the high halves landing in column c (hi[0] none).
   __m256i lo[6], hi[7];
 #pragma GCC unroll 7
@@ -297,7 +299,7 @@ inline Fe4 mul4(const Fe4& f, const Fe4& g, const Fe4& g152) {
   return r;
 }
 
-inline Fe4 mul4(const Fe4& f, const Fe4& g) {
+[[gnu::always_inline]] inline Fe4 mul4(const Fe4& f, const Fe4& g) {
   return mul4(f, g, wrap152(g));
 }
 

@@ -1,15 +1,14 @@
 #include "crypto/x25519.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstring>
 #include <mutex>
-
-#include "common/thread_annotations.h"
 #include <stdexcept>
-#include <vector>
 
 #include "common/hot_stage.h"
+#include "common/thread_annotations.h"
 #include "crypto/cpu_dispatch.h"
 #include "crypto/fe25519.h"
 #include "crypto/op_count.h"
@@ -64,47 +63,57 @@ void ladder_fraction(const std::uint8_t k[32], ByteView u, Fe& num, Fe& den) {
   den = z2;
 }
 
-X25519Key ladder(const std::uint8_t k[32], ByteView u) {
+// Clamp, multiply, invert, wipe: the body of every one-point entry.
+// `fraction(k, num, den)` runs one multiplication by the clamped scalar
+// up to its final inversion.
+template <typename Fraction>
+X25519Key clamped_multiply(SecretView scalar, ByteView u, Fraction fraction) {
+  if (scalar.size() != 32 || u.size() != 32) {
+    throw std::invalid_argument("x25519: inputs must be 32 bytes");
+  }
+  std::uint8_t k[32];
+  clamp(k, scalar);
   Fe num, den;
-  ladder_fraction(k, u, num, den);
-  const Fe out = fe_mul(num, fe_invert(den));
+  fraction(k, num, den);
+  // fe_invert(0) = 0: a zero den (a low-order point, the comb's
+  // identity) gives u = 0 on every path.
   X25519Key result{};
-  fe_store(result.data(), out);
+  fe_store(result.data(), fe_mul(num, fe_invert(den)));
+  secure_zero(k, sizeof(k));
   return result;
 }
 
-// Comb-table cache, shared across every shard worker of a parallel
-// sweep. Registrations hammer a stable working set — the base point,
-// the home network's ECIES key, and every attached server's TLS
-// identity — and under the shard runner (sim/shards.h) all workers
-// hammer the *same* points, so a table built once serves the process.
-//
-// Concurrency layout, from hot to cold:
+// The kind of point a call site multiplies, which picks its path: the
+// base point's one table (built on first use, no slot, no scan), a
+// pinned key's table in the shared cache below (published on first
+// use), or, for a fresh ephemeral from the wire, always the ladder, so
+// remote input never decides what is cached.
+enum class Point { kBase, kPinned, kWire };
+
+constexpr std::uint8_t kBasePoint[32] = {9};
+
+const detail::CombTable& base_table() {
+  // Leaked on purpose: workers may run x25519 during late teardown.
+  static const detail::CombTable* table =
+      detail::comb_build(kBasePoint).release();
+  return *table;
+}
+
+// Pinned-key cache, shared across every shard worker of a parallel
+// sweep: under the shard runner (sim/shards.h) all workers multiply by
+// the *same* pinned keys, so a table built once serves the process.
 //  * Hit path: a fixed array of published slots, each an atomic pointer
 //    to an immutable entry (point + built table, or a remembered
 //    unliftable twist point). Readers scan count-then-slots with one
 //    acquire load and take no lock — the hit path is wait-free.
-//  * Miss path: sighting counts live in a small per-thread candidate
-//    LRU (the pre-PR design), so one-shot ephemeral points never touch
-//    shared state and never contend.
-//  * Build path: a point that crosses kBuildThreshold sightings in one
-//    thread takes the publish mutex, re-checks the shared slots (some
-//    other worker may have won the race), builds the ~60 KiB table
-//    exactly once per point process-wide, and release-publishes it.
-// Published entries are immutable until detail::x25519_cache_reset(),
-// a single-threaded test hook. When all slots fill (64 tables ≈ 4 MiB)
-// later points simply keep the ladder — candidates remember giving up.
-constexpr int kBuildThreshold = 4;
-constexpr std::size_t kMaxCandidates = 32;
+//  * Publish path: a key's first use takes the publish mutex, re-checks
+//    the slots (another worker may have won the race), builds the
+//    64 KiB table once per key process-wide, and release-publishes it.
+//  * Full cache (64 tables = 4 MiB): later keys take the ladder, and
+//    the acquired count says so before any lock is taken.
+// Entries are immutable until detail::x25519_cache_reset(), a
+// single-threaded test hook.
 constexpr std::size_t kSharedSlots = 64;
-
-bool same_u(const std::array<std::uint8_t, 32>& a, const std::uint8_t* b) {
-  std::uint8_t acc = 0;
-  for (std::size_t i = 0; i < 32; ++i) {
-    acc |= static_cast<std::uint8_t>(a[i] ^ b[i]);
-  }
-  return acc == 0;
-}
 
 struct SharedEntry {
   std::array<std::uint8_t, 32> u{};
@@ -112,7 +121,7 @@ struct SharedEntry {
 };
 
 struct SharedCache {
-  // Atomic: comb_lookup readers scan lock-free; publication (slot
+  // Atomic: pinned_table readers scan lock-free; publication (slot
   // store + count bump) happens only under publish_mutex.
   std::array<std::atomic<const SharedEntry*>, kSharedSlots> slots
       SHIELD_GUARDED_BY(publish_mutex){};
@@ -129,87 +138,52 @@ SharedCache& shared_cache() {
 // Wait-free reader: the release store on `count` orders the slot and
 // entry writes before it, so any slot below an acquired count is fully
 // published.
-const SharedEntry* shared_find(const std::uint8_t* u) {
-  SharedCache& cache = shared_cache();
-  const std::size_t n = cache.count.load(std::memory_order_acquire);
+const SharedEntry* shared_find(const SharedCache& cache,
+                               const std::uint8_t* u, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const SharedEntry* entry = cache.slots[i].load(std::memory_order_relaxed);
-    if (entry != nullptr && same_u(entry->u, u)) return entry;
+    // Pinned keys are public: a plain compare will do.
+    if (entry != nullptr && std::equal(entry->u.begin(), entry->u.end(), u)) {
+      return entry;
+    }
   }
   return nullptr;
 }
 
-// Builds and publishes the table for `u` (or its unliftable verdict).
-// Returns the published entry, or nullptr when the cache is full.
-const SharedEntry* shared_publish(const std::uint8_t* u) {
+// The table for pinned key `u`, built and published on its first use;
+// nullptr (take the ladder) when it does not lift or the cache is full.
+const detail::CombTable* pinned_table(const std::uint8_t* u) {
   SharedCache& cache = shared_cache();
+  std::size_t n = cache.count.load(std::memory_order_acquire);
+  if (const SharedEntry* hit = shared_find(cache, u, n)) {
+    return hit->table.get();
+  }
+  if (n >= kSharedSlots) return nullptr;  // full: no lock taken
   const std::lock_guard<std::mutex> lock(cache.publish_mutex);
-  if (const SharedEntry* raced = shared_find(u)) return raced;  // lost race
-  const std::size_t n = cache.count.load(std::memory_order_relaxed);
+  n = cache.count.load(std::memory_order_relaxed);
+  if (const SharedEntry* raced = shared_find(cache, u, n)) {
+    return raced->table.get();  // another worker published it first
+  }
   if (n >= kSharedSlots) return nullptr;
   auto* entry = new SharedEntry;
   std::memcpy(entry->u.data(), u, 32);
   entry->table = detail::comb_build(u);  // null when the point won't lift
   cache.slots[n].store(entry, std::memory_order_relaxed);
   cache.count.store(n + 1, std::memory_order_release);
-  return entry;
-}
-
-// Per-thread sighting counts for points not (yet) published. Eviction
-// is least-recently-used: one-shot ephemerals churn through the tail
-// while repeated points accumulate uses and graduate to the shared
-// slots.
-struct Candidate {
-  std::array<std::uint8_t, 32> u;
-  int uses = 0;
-  std::uint64_t last_use = 0;
-  bool gave_up = false;  // shared cache was full at graduation time
-};
-
-thread_local std::vector<Candidate> t_candidates;
-thread_local std::uint64_t t_comb_tick = 0;
-
-// Returns the table to use for `u`, or nullptr to take the ladder.
-const detail::CombTable* comb_lookup(ByteView u) {
-  if (const SharedEntry* entry = shared_find(u.data())) {
-    return entry->table.get();
-  }
-  for (auto& cand : t_candidates) {
-    if (!same_u(cand.u, u.data())) continue;
-    cand.last_use = ++t_comb_tick;
-    if (cand.gave_up) return nullptr;
-    if (++cand.uses < kBuildThreshold) return nullptr;
-    const SharedEntry* entry = shared_publish(u.data());
-    if (entry == nullptr) {
-      cand.gave_up = true;
-      return nullptr;
-    }
-    return entry->table.get();
-  }
-  Candidate fresh;
-  std::memcpy(fresh.u.data(), u.data(), 32);
-  fresh.uses = 1;
-  fresh.last_use = ++t_comb_tick;
-  if (t_candidates.size() < kMaxCandidates) {
-    t_candidates.push_back(fresh);
-    return nullptr;
-  }
-  Candidate* victim = &t_candidates.front();
-  for (auto& cand : t_candidates) {
-    if (cand.last_use < victim->last_use) victim = &cand;
-  }
-  *victim = fresh;
-  return nullptr;
+  return entry->table.get();
 }
 
 // One scalar multiplication up to (not including) its final inversion:
-// the comb when a table exists for `u`, else the IFMA ladder when the
-// host runs it, else the 51-bit ladder. The scalar backend always takes
-// the 51-bit ladder.
-void mult_fraction(const std::uint8_t k[32], ByteView u, Fe& num, Fe& den) {
-  const detail::CombTable* table =
-      active_backend() == CryptoBackend::kAccelerated ? comb_lookup(u)
-                                                      : nullptr;
+// the comb when the kind of point has a table, else the IFMA ladder
+// when the host runs it, else the 51-bit ladder. The scalar backend
+// always takes the 51-bit ladder.
+void mult_fraction(Point kind, const std::uint8_t k[32], ByteView u, Fe& num,
+                   Fe& den) {
+  const detail::CombTable* table = nullptr;
+  if (active_backend() == CryptoBackend::kAccelerated) {
+    if (kind == Point::kBase) table = &base_table();
+    if (kind == Point::kPinned) table = pinned_table(u.data());
+  }
   if (table != nullptr) {
     detail::comb_eval_fraction(*table, k, num, den);
   } else if (detail::x25519_ladder_is_ifma()) {
@@ -219,23 +193,27 @@ void mult_fraction(const std::uint8_t k[32], ByteView u, Fe& num, Fe& den) {
   }
 }
 
+X25519Key multiply(Point kind, SecretView scalar, ByteView u) {
+  ScopedStage timer(HotStage::kCrypto);
+  return clamped_multiply(
+      scalar, u, [&](const std::uint8_t* k, Fe& num, Fe& den) {
+        ++op_counts().x25519_ops;
+        mult_fraction(kind, k, u, num, den);
+      });
+}
+
 }  // namespace
 
 X25519Key x25519(SecretView scalar, ByteView u) {
-  if (scalar.size() != 32 || u.size() != 32) {
-    throw std::invalid_argument("x25519: inputs must be 32 bytes");
-  }
-  ScopedStage timer(HotStage::kCrypto);
-  ++op_counts().x25519_ops;
-  std::uint8_t k[32];
-  clamp(k, scalar);
+  return multiply(Point::kWire, scalar, u);
+}
 
-  Fe num, den;
-  mult_fraction(k, u, num, den);
-  X25519Key result{};
-  fe_store(result.data(), fe_mul(num, fe_invert(den)));
-  secure_zero(k, sizeof(k));
-  return result;
+X25519Key x25519_pinned(SecretView scalar, ByteView peer) {
+  return multiply(Point::kPinned, scalar, peer);
+}
+
+X25519Key x25519_public(SecretView scalar) {
+  return multiply(Point::kBase, scalar, ByteView(kBasePoint, 32));
 }
 
 X25519KeyPair x25519_keypair_shared(ByteView random32, ByteView peer_public,
@@ -251,10 +229,9 @@ X25519KeyPair x25519_keypair_shared(ByteView random32, ByteView peer_public,
   std::uint8_t k[32];
   clamp(k, kp.private_key);
 
-  std::uint8_t base[32] = {9};
   Fe n1, d1, n2, d2;
-  mult_fraction(k, ByteView(base, 32), n1, d1);
-  mult_fraction(k, peer_public, n2, d2);
+  mult_fraction(Point::kBase, k, ByteView(kBasePoint, 32), n1, d1);
+  mult_fraction(Point::kPinned, k, peer_public, n2, d2);
   secure_zero(k, sizeof(k));
 
   // Batched inversion, zero-safe: a zero denominator (low-order peer
@@ -275,11 +252,6 @@ X25519KeyPair x25519_keypair_shared(ByteView random32, ByteView peer_public,
   return kp;
 }
 
-X25519Key x25519_public(SecretView scalar) {
-  std::uint8_t base[32] = {9};
-  return x25519(scalar, ByteView(base, 32));
-}
-
 X25519KeyPair x25519_keypair(ByteView random32) {
   if (random32.size() != 32) {
     throw std::invalid_argument("x25519_keypair: need 32 random bytes");
@@ -293,14 +265,10 @@ X25519KeyPair x25519_keypair(ByteView random32) {
 namespace detail {
 
 X25519Key x25519_ladder(SecretView scalar, ByteView u) {
-  if (scalar.size() != 32 || u.size() != 32) {
-    throw std::invalid_argument("x25519: inputs must be 32 bytes");
-  }
-  std::uint8_t k[32];
-  clamp(k, scalar);
-  X25519Key result = ladder(k, u);
-  secure_zero(k, sizeof(k));
-  return result;
+  return clamped_multiply(
+      scalar, u, [&](const std::uint8_t* k, Fe& num, Fe& den) {
+        ladder_fraction(k, u, num, den);
+      });
 }
 
 void x25519_ladder_fraction(const std::uint8_t k[32], const std::uint8_t u[32],
@@ -315,19 +283,15 @@ bool x25519_ladder_is_ifma() noexcept {
 }
 
 X25519Key x25519_comb_forced(SecretView scalar, ByteView u) {
-  if (scalar.size() != 32 || u.size() != 32) {
-    throw std::invalid_argument("x25519: inputs must be 32 bytes");
-  }
-  const CombTablePtr table = comb_build(u.data());
+  const CombTablePtr table =
+      u.size() == 32 ? comb_build(u.data()) : CombTablePtr();
   if (!table) {
     throw std::invalid_argument("x25519_comb_forced: point does not lift");
   }
-  std::uint8_t k[32];
-  clamp(k, scalar);
-  X25519Key result;
-  comb_eval(*table, k, result.data());
-  secure_zero(k, sizeof(k));
-  return result;
+  return clamped_multiply(
+      scalar, u, [&](const std::uint8_t* k, Fe& num, Fe& den) {
+        comb_eval_fraction(*table, k, num, den);
+      });
 }
 
 bool x25519_comb_liftable(ByteView u) {
@@ -337,8 +301,7 @@ bool x25519_comb_liftable(ByteView u) {
 
 void x25519_cache_reset() {
   // Test hook, single-threaded by contract: frees published entries,
-  // which is only safe while no other thread is inside comb_lookup.
-  t_candidates.clear();
+  // which is only safe while no other thread is inside pinned_table.
   SharedCache& cache = shared_cache();
   const std::lock_guard<std::mutex> lock(cache.publish_mutex);
   const std::size_t n = cache.count.load(std::memory_order_relaxed);

@@ -291,13 +291,4 @@ void comb_ifma_fraction(const CombTable& table, const std::uint8_t* scalar32,
   secure_zero(digits, sizeof(digits));
 }
 
-void comb_eval(const CombTable& table, const std::uint8_t* scalar32,
-               std::uint8_t* out_u32) {
-  Fe num, den;
-  comb_eval_fraction(table, scalar32, num, den);
-  // fe_invert(0) = 0, so the identity (and any Z-Y = 0 degeneracy) maps
-  // to u = 0 exactly like the ladder's x2 * invert(0).
-  fe_store(out_u32, fe_mul(num, fe_invert(den)));
-}
-
 }  // namespace shield5g::crypto::detail

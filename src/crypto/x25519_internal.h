@@ -1,9 +1,9 @@
 // Internal X25519 entry points: the ladder and comb kernels behind
-// crypto::x25519() and the hooks that parity tests and benchmarks pin
-// them through.
+// the public entries in crypto/x25519.h and the hooks that parity
+// tests and benchmarks pin them through.
 //
-// Production code calls crypto::x25519(), which picks the fast path on
-// its own. These hooks let tests pin a specific path and assert that
+// Production code calls the public entries, whose kind of point picks
+// the path. These hooks let tests pin a specific path and assert that
 // the Montgomery ladders and the Edwards comb agree bit for bit.
 #pragma once
 
@@ -23,28 +23,28 @@ X25519Key x25519_ladder(SecretView scalar, ByteView u);
 void x25519_ladder_fraction(const std::uint8_t k[32], const std::uint8_t u[32],
                             fe25519::Fe& num, fe25519::Fe& den);
 
-/// Edwards comb, unconditionally (builds a throwaway table when the
-/// point is not already cached). Throws std::invalid_argument when the
-/// point does not lift to edwards25519. Does not charge op counts.
+/// Edwards comb, unconditionally, on a throwaway table. Throws
+/// std::invalid_argument when the point does not lift to edwards25519.
+/// Does not charge op counts.
 X25519Key x25519_comb_forced(SecretView scalar, ByteView u);
 
 /// True when `u` lifts to edwards25519 (i.e. the comb can serve it).
 bool x25519_comb_liftable(ByteView u);
 
-/// Drops the process-wide shared comb-table cache and this thread's
-/// candidate sighting counts (tests reset between cases). Must be
-/// called while no other thread is evaluating x25519 — published
-/// entries are freed here and readers take no lock.
+/// Drops the process-wide pinned-key cache (tests reset between
+/// cases); the base point's table stays. Must be called while no other
+/// thread is evaluating x25519 — published entries are freed here and
+/// readers take no lock.
 void x25519_cache_reset();
 
-/// Number of comb-table entries currently published in the shared
-/// cache (unliftable verdicts included).
+/// Number of pinned keys currently published in the shared cache
+/// (unliftable verdicts included).
 std::size_t x25519_cache_size();
 
-/// True when x25519() runs the IFMA kernels: the accelerated backend on
-/// a build and host that support them. A point no comb table serves
-/// then takes the IFMA ladder, and a comb hit the IFMA comb. Otherwise
-/// they take the 51-bit ladder and the portable comb.
+/// True when the public entries run the IFMA kernels: the accelerated
+/// backend on a build and host that support them. A point no comb
+/// table serves then takes the IFMA ladder, and a comb hit the IFMA
+/// comb. Otherwise they take the 51-bit ladder and the portable comb.
 bool x25519_ladder_is_ifma() noexcept;
 
 // ---------------------------------------------------------------------

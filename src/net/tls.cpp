@@ -251,10 +251,10 @@ TlsSession::ClientHandshake TlsSession::client_connect_resumable(
   crypto::X25519Key shared;
   crypto::X25519KeyPair eph;
   if (pool != nullptr) {
-    // Pregenerated ephemeral: only the variable-base mult against the
-    // server key runs in-line.
+    // Pregenerated ephemeral: only the mult against the pinned server
+    // key runs in-line.
     eph = pool->acquire();
-    shared = crypto::x25519(eph.private_key, server_public);
+    shared = crypto::x25519_pinned(eph.private_key, server_public);
   } else {
     eph = crypto::x25519_keypair_shared(rng.bytes(32), server_public, shared);
   }

@@ -12,15 +12,15 @@ namespace shield5g::nf {
 namespace {
 constexpr sim::Nanos kNasProcFixed = 2'000;
 constexpr double kNasProcPerByte = 20.0;
+/// Selected NAS algorithm identifiers (5G-EA2/5G-IA2 analogues).
+constexpr std::uint8_t kCipheringAlgo = 2;
+constexpr std::uint8_t kIntegrityAlgo = 2;
 }  // namespace
 
 Amf::Amf(net::Bus& bus, AmfConfig config)
-    : Vnf(config.name, bus), config_(std::move(config)) {
-  if (config_.snn.empty()) {
-    config_.snn = crypto::serving_network_name(config_.plmn.mcc,
-                                               config_.plmn.mnc);
-  }
-}
+    : Vnf(config.name, bus),
+      config_(std::move(config)),
+      snn_(crypto::serving_network_name(config_.plmn.mcc, config_.plmn.mnc)) {}
 
 void Amf::charge_nas(std::size_t bytes) {
   env_.compute(kNasProcFixed + static_cast<sim::Nanos>(
@@ -61,7 +61,7 @@ Bytes Amf::send_security_mode_command(UeContext& ctx) {
   NasMessage smc;
   smc.type = NasType::kSecurityModeCommand;
   smc.set(NasIe::kSelectedAlgorithms,
-          Bytes{config_.ciphering_algo, config_.integrity_algo});
+          Bytes{kCipheringAlgo, kIntegrityAlgo});
   smc.set(NasIe::kNgKsi, Bytes{ctx.ngksi});
   // The SMC itself is integrity protected but not ciphered: the UE must
   // read the selected algorithms before it can derive the keys.
@@ -75,7 +75,7 @@ std::optional<Bytes> Amf::start_authentication(UeContext& ctx) {
   } else {
     body["suci"] = ctx.suci;
   }
-  body["servingNetworkName"] = config_.snn;
+  body["servingNetworkName"] = snn_;
   auto auth = call(config_.ausf_service,
                    json_post("/nausf-auth/v1/ue-authentications",
                              json::Value(std::move(body))));
@@ -221,9 +221,9 @@ std::optional<Bytes> Amf::on_auth_response(UeContext& ctx,
   // NAS algorithm keys stay in the AMF proper (TS 33.501 A.8).
   crypto::OpMeter kops;
   ctx.knas_enc = crypto::derive_algo_key(ctx.kamf, crypto::AlgoType::kNasEnc,
-                                         config_.ciphering_algo);
+                                         kCipheringAlgo);
   ctx.knas_int = crypto::derive_algo_key(ctx.kamf, crypto::AlgoType::kNasInt,
-                                         config_.integrity_algo);
+                                         kIntegrityAlgo);
   env_.compute(kops.ns(bus_.costs().primitives));
   return send_security_mode_command(ctx);
 }
@@ -259,7 +259,7 @@ std::optional<Bytes> Amf::on_auth_failure(UeContext& ctx,
   resync["suci"] = ctx.suci;
   resync["rand"] = hex_field(ctx.rand);
   resync["auts"] = hex_field(msg.at(NasIe::kAuts));
-  resync["servingNetworkName"] = config_.snn;
+  resync["servingNetworkName"] = snn_;
   auto res = call(config_.ausf_service,
                   json_post("/nausf-auth/v1/resync",
                             json::Value(std::move(resync))));

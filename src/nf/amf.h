@@ -26,10 +26,6 @@ struct AmfConfig {
   std::string eamf_service = "eamf-aka";
   AkaDeployment deployment = AkaDeployment::kExternal;
   Plmn plmn;
-  std::string snn;  // serving network name, derived from the PLMN
-  /// Selected NAS algorithm identifiers (5G-EA2/5G-IA2 analogues).
-  std::uint8_t ciphering_algo = 2;
-  std::uint8_t integrity_algo = 2;
 };
 
 enum class UeState {
@@ -45,9 +41,6 @@ class Amf : public Vnf {
   Amf(net::Bus& bus, AmfConfig config);
 
   const AmfConfig& config() const noexcept { return config_; }
-  void set_deployment(AkaDeployment mode) noexcept {
-    config_.deployment = mode;
-  }
 
   /// N1: one uplink NAS PDU in, at most one downlink NAS PDU out.
   std::optional<Bytes> handle_uplink(std::uint64_t ran_ue_id, ByteView nas);
@@ -132,6 +125,7 @@ class Amf : public Vnf {
   void charge_nas(std::size_t bytes);
 
   AmfConfig config_;
+  std::string snn_;  // serving network name, derived from the PLMN
   std::map<std::uint64_t, UeContext> ues_;
   std::map<std::string, StoredContext> guti_contexts_;
   std::map<std::uint64_t, std::uint64_t> ran_to_amf_id_;

@@ -31,9 +31,6 @@ class Ausf : public Vnf {
   Ausf(net::Bus& bus, AusfConfig config);
 
   const AusfConfig& config() const noexcept { return config_; }
-  void set_deployment(AkaDeployment mode) noexcept {
-    config_.deployment = mode;
-  }
 
  private:
   struct AuthContext {

@@ -10,7 +10,7 @@ namespace shield5g::nf {
 Udm::Udm(net::Bus& bus, UdmConfig config)
     : Vnf(config.name, bus),
       config_(std::move(config)),
-      rand_rng_(config_.rand_seed) {
+      rand_rng_(kRandSeed) {
   register_routes();
 }
 

@@ -38,10 +38,6 @@ struct UdmConfig {
   crypto::X25519KeyPair hn_key{};
   /// Identifier of hn_key; the SIDF refuses SUCIs that name another.
   std::uint8_t hn_key_id = 1;
-  /// Seed of the UDM's RAND generator. A dedicated source keeps the
-  /// challenge sequence independent of transport-level randomness, so
-  /// the same provisioning yields identical vectors across deployments.
-  std::uint64_t rand_seed = 0xda7eb45eULL;
 };
 
 class Udm : public Vnf {
@@ -49,9 +45,6 @@ class Udm : public Vnf {
   Udm(net::Bus& bus, UdmConfig config);
 
   const UdmConfig& config() const noexcept { return config_; }
-  void set_deployment(AkaDeployment mode) noexcept {
-    config_.deployment = mode;
-  }
 
   std::uint64_t av_generated_count() const noexcept { return av_count_; }
   std::uint64_t auth_events() const noexcept { return auth_events_; }
@@ -68,6 +61,10 @@ class Udm : public Vnf {
   /// de-concealment crypto to this VNF's environment.
   std::optional<Supi> resolve_identity(const json::Value& body);
 
+  /// Seed of the RAND generator. A dedicated source keeps the challenge
+  /// sequence independent of transport-level randomness, so the same
+  /// provisioning yields identical vectors across deployments.
+  static constexpr std::uint64_t kRandSeed = 0xda7eb45eULL;
   UdmConfig config_;
   Rng rand_rng_;
   std::uint64_t av_count_ = 0;

@@ -458,13 +458,13 @@ INSTANTIATE_TEST_SUITE_P(RandomKeys, X25519Agreement,
 TEST(X25519, FusedKeypairSharedMatchesSeparateCalls) {
   Rng rng(77);
   const auto peer = x25519_keypair(rng.bytes(32));
-  // Repeat one peer point past the comb build threshold so the fused
-  // path is exercised on both backends (ladder first, comb once hot).
   for (int i = 0; i < 8; ++i) {
     const Bytes random = rng.bytes(32);
     const auto separate_kp = x25519_keypair(random);
     const auto separate_shared =
-        x25519(separate_kp.private_key, peer.public_key);
+        x25519_pinned(separate_kp.private_key, peer.public_key);
+    const auto wire_shared = x25519(separate_kp.private_key, peer.public_key);
+    EXPECT_EQ(hex_encode(separate_shared), hex_encode(wire_shared));
     X25519Key fused_shared;
     const auto fused_kp =
         x25519_keypair_shared(random, peer.public_key, fused_shared);

@@ -12,6 +12,7 @@
 // support them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <fstream>
 #include <sstream>
@@ -324,22 +325,83 @@ TEST(KernelParity, X25519SmallOrderInputsAgree) {
   }
 }
 
-TEST(KernelParity, X25519PublicPathCachesAndStaysBitIdentical) {
+TEST(KernelParity, X25519PublicPathIsBitIdenticalAndTakesNoSlot) {
   detail::x25519_cache_reset();
   Rng rng(0x25519'04);
   const Bytes scalar = rng.bytes(32);
-  // Scalar backend: pure ladder, never touches the cache.
+  // Scalar backend: pure ladder, never touches a comb table.
   const auto reference = with_backend(CryptoBackend::kScalar, [&] {
     return x25519_public(scalar);
   });
-  // Accelerated backend: the base point crosses the build threshold and
-  // switches to the comb; outputs must not change at the switch.
+  // Accelerated backend: the base point's own table, built once, serves
+  // every call and takes none of the pinned keys' slots.
   ForcedBackend guard(CryptoBackend::kAccelerated);
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 8; ++i) {
     const auto out = x25519_public(scalar);
     ASSERT_EQ(hex_encode(out), hex_encode(reference)) << "call " << i;
   }
+  EXPECT_EQ(detail::x25519_cache_size(), 0u);
+}
+
+TEST(KernelParity, X25519WirePointTakesTheLadderAndNoSlot) {
+  // A point from the wire never enters the cache, however often a peer
+  // sends it.
+  detail::x25519_cache_reset();
+  ForcedBackend guard(CryptoBackend::kAccelerated);
+  Rng rng(0x25519'06);
+  const Bytes scalar = rng.bytes(32);
+  const auto peer = x25519_keypair(rng.bytes(32)).public_key;
+  const auto reference = detail::x25519_ladder(scalar, peer);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(hex_encode(x25519(scalar, peer)), hex_encode(reference))
+        << "call " << i;
+  }
+  EXPECT_EQ(detail::x25519_cache_size(), 0u);
+}
+
+TEST(KernelParity, X25519PinnedKeyIsCachedOnFirstUse) {
+  detail::x25519_cache_reset();
+  ForcedBackend guard(CryptoBackend::kAccelerated);
+  Rng rng(0x25519'07);
+  const Bytes scalar = rng.bytes(32);
+  const auto pinned = x25519_keypair(rng.bytes(32)).public_key;
+  const auto reference = detail::x25519_ladder(scalar, pinned);
+  EXPECT_EQ(hex_encode(x25519_pinned(scalar, pinned)), hex_encode(reference));
   EXPECT_EQ(detail::x25519_cache_size(), 1u);
+  // The comb serves the repeats from the one published table.
+  for (int i = 0; i < 3; ++i) {
+    const Bytes other_scalar = rng.bytes(32);
+    ASSERT_EQ(hex_encode(x25519_pinned(other_scalar, pinned)),
+              hex_encode(detail::x25519_ladder(other_scalar, pinned)));
+  }
+  EXPECT_EQ(detail::x25519_cache_size(), 1u);
+  // The fused key pair's peer half is a pinned use too.
+  X25519Key shared;
+  const Bytes random = rng.bytes(32);
+  const auto other = x25519_keypair(rng.bytes(32)).public_key;
+  (void)x25519_keypair_shared(random, other, shared);
+  const auto ladder_shared = detail::x25519_ladder(random, other);
+  EXPECT_EQ(hex_encode(shared), hex_encode(ladder_shared));
+  EXPECT_EQ(detail::x25519_cache_size(), 2u);
+  detail::x25519_cache_reset();
+}
+
+TEST(KernelParity, X25519PinnedKeysPastTheCacheTakeTheLadder) {
+  // 64 slots: the 65th and later pinned keys find the cache full and
+  // fall back to the ladder with the same output.
+  detail::x25519_cache_reset();
+  ForcedBackend guard(CryptoBackend::kAccelerated);
+  Rng rng(0x25519'08);
+  const Bytes scalar = rng.bytes(32);
+  for (int i = 0; i < 70; ++i) {
+    const auto pinned = x25519_keypair(rng.bytes(32)).public_key;
+    ASSERT_EQ(hex_encode(x25519_pinned(scalar, pinned)),
+              hex_encode(detail::x25519_ladder(scalar, pinned)))
+        << "key " << i;
+    ASSERT_EQ(detail::x25519_cache_size(),
+              static_cast<std::size_t>(std::min(i + 1, 64)))
+        << "key " << i;
+  }
   detail::x25519_cache_reset();
 }
 

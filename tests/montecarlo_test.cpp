@@ -72,18 +72,16 @@ class ForcedBackend {
   ~ForcedBackend() { crypto::clear_forced_backend(); }
 };
 
-// A fixed set of curve points every thread keeps revisiting: the base
-// point plus a handful of public keys (always valid u-coordinates).
-// Revisits push the per-thread sighting counters past the publish
-// threshold on many threads at once, so the once-per-point table
-// builds and the lock-free hit path race against each other — the
-// exact pattern shard workers produce on a shared deployment key.
+// A fixed set of pinned keys every thread keeps revisiting, as shard
+// workers do a shared deployment's server identities and home-network
+// key. Each is published on its first use, so on many threads at once
+// the once-per-key table builds and the lock-free hit path race
+// against each other; every call also goes through the base point's
+// table, built once on first use.
 std::vector<Bytes> comb_hammer_points() {
   std::vector<Bytes> points;
-  points.push_back(Bytes(32, 0));
-  points.back()[0] = 9;  // the X25519 base point: the hottest entry
   Rng rng(0xC04BULL);
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < 6; ++i) {
     const SecretBytes scalar(rng.bytes(32));
     const crypto::X25519Key pub = crypto::x25519_public(scalar);
     points.emplace_back(pub.begin(), pub.end());
@@ -95,13 +93,13 @@ std::uint64_t comb_job(const std::vector<Bytes>& points, std::size_t seed) {
   Rng rng(static_cast<std::uint64_t>(seed) * 0x9e3779b97f4a7c15ULL + 1);
   const SecretBytes scalar(rng.bytes(32));
   std::uint64_t acc = 0;
-  // Six passes per point: past the build threshold within one job.
-  for (int pass = 0; pass < 6; ++pass) {
-    for (const Bytes& u : points) {
-      const crypto::X25519Key key = crypto::x25519(scalar, u);
-      // lint-audited(ct-flow: digest accumulation reads every output byte unconditionally)
-      for (std::uint8_t byte : key) acc = acc * 131 + byte;
-    }
+  const auto fold = [&acc](const crypto::X25519Key& key) {
+    // lint-audited(ct-flow: digest accumulation reads every output byte unconditionally)
+    for (std::uint8_t byte : key) acc = acc * 131 + byte;
+  };
+  for (int pass = 0; pass < 3; ++pass) {
+    fold(crypto::x25519_public(scalar));
+    for (const Bytes& u : points) fold(crypto::x25519_pinned(scalar, u));
   }
   return acc;
 }
@@ -124,8 +122,8 @@ TEST(MonteCarlo, SharedCombCacheIsRaceFreeAndThreadCountInvariant) {
 
   // Same keys regardless of which thread built or reused each table.
   EXPECT_EQ(serial, parallel);
-  // Every hammered point ends up published exactly once — concurrent
-  // builders must dedupe, and hits must not re-publish.
+  // Every pinned key ends up published exactly once — concurrent
+  // first uses must dedupe, and hits must not re-publish.
   EXPECT_EQ(serial_cache, points.size());
   EXPECT_EQ(parallel_cache, points.size());
   crypto::detail::x25519_cache_reset();

@@ -211,6 +211,34 @@ TEST_F(DeclassifyGate, ShieldedVersusHostCountersSplitByBacking) {
   EXPECT_EQ(counter_value("secret.declassify.transport.host"), 2u);
 }
 
+TEST_F(DeclassifyGate, EveryReasonCountsUnderItsName) {
+  // The gate's counter names come from a table; each must spell the
+  // reason as declassify_reason_name() does.
+  auto& enclave = machine_.create_enclave(
+      sgx::EnclaveConfig{"eudm-aka", 64ULL << 20, 4, false});
+  const auto shielded =
+      sgx::EnclaveContext::enclave_backed("eudm-aka", &enclave);
+  for (const auto reason :
+       {DeclassifyReason::kTransport, DeclassifyReason::kProvisioning,
+        DeclassifyReason::kUnseal, DeclassifyReason::kProtocolOutput,
+        DeclassifyReason::kTestVector}) {
+    const std::string name =
+        std::string("secret.declassify.") + declassify_reason_name(reason);
+    (void)key_.declassify(reason, &shielded);
+    EXPECT_EQ(counter_value(name + ".shielded"), 1u) << name;
+    if (declassify_requires_enclave(reason)) {
+      EXPECT_THROW(key_.declassify(reason, nullptr), std::logic_error);
+      EXPECT_EQ(counter_value("secret.declassify.denied." +
+                              std::string(declassify_reason_name(reason))),
+                1u)
+          << name;
+    } else {
+      (void)key_.declassify(reason, nullptr);
+      EXPECT_EQ(counter_value(name + ".host"), 1u) << name;
+    }
+  }
+}
+
 TEST_F(DeclassifyGate, SecretViewAndFixedSecretShareTheGate) {
   const Secret<32> fixed{std::array<std::uint8_t, 32>{}};
   EXPECT_THROW(fixed.declassify(DeclassifyReason::kUnseal, nullptr),

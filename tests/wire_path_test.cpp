@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/buffer_pool.h"
+#include "common/secret.h"
 #include "common/stats.h"
 #include "crypto/op_count.h"
 #include "load/sweep.h"
@@ -305,6 +306,29 @@ TEST(WirePathWorkload, PoolsResumptionAndFastPathStayHot) {
       EXPECT_EQ(sweep[m].fastpath_hits, 0u);
     }
   }
+}
+
+// Counters stay cheap enough to leave on: bumping a counter that
+// exists looks its name up as a view, and a declassify takes its
+// counter name from a static table, so neither builds a std::string.
+// Both names here are past the 15 characters a std::string holds
+// without the heap.
+TEST(WirePathTelemetry, RebumpingAnExistingCounterAllocatesNothing) {
+  counter_add("wire_path.telemetry.rebump");  // the first bump creates it
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; ++i) counter_add("wire_path.telemetry.rebump");
+  counter_max("wire_path.telemetry.rebump", 7);
+  EXPECT_EQ(counter_value("wire_path.telemetry.rebump"), 101u);
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+}
+
+TEST(WirePathTelemetry, DeclassifyAllocatesOnlyItsOutput) {
+  const SecretBytes key(Bytes(16, 0x5a));
+  (void)key.declassify(DeclassifyReason::kTransport, nullptr);  // creates
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const Bytes out = key.declassify(DeclassifyReason::kTransport, nullptr);
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 1u);
+  EXPECT_EQ(out, Bytes(16, 0x5a));
 }
 
 }  // namespace

@@ -39,17 +39,18 @@ bool public_method(const std::string& name) {
   return name == "size" || name == "empty" || name == "declassify";
 }
 
-/// X25519 kernels whose key material arrives as a plain byte array (the
-/// clamped scalar) or a value computed from it by a call that lexical
-/// taint cannot follow (the comb's signed digits, one digit or its sign
-/// bit handed to a helper), and the safegcd inversion's routines, which
-/// see the field element only as limbs and matrices passed in. Seeding
-/// these names keeps secret-dependent control flow inside the kernels
-/// visible.
+/// X25519 kernels, and the dispatcher that picks one, whose key
+/// material arrives as a plain byte array (the clamped scalar) or a
+/// value computed from it by a call that lexical taint cannot follow
+/// (the comb's signed digits, one digit or its sign bit handed to a
+/// helper), and the safegcd inversion's routines, which see the field
+/// element only as limbs and matrices passed in. Seeding these names
+/// keeps secret-dependent control flow inside the kernels visible.
 const std::unordered_map<std::string, std::vector<std::string>>&
 kernel_secret_names() {
   static const std::unordered_map<std::string, std::vector<std::string>>
       kMap{
+          {"mult_fraction", {"k"}},
           {"ladder_fraction", {"k"}},
           {"x25519_ifma_ladder_fraction", {"k"}},
           {"cswap_pairs", {"swap"}},

@@ -55,7 +55,18 @@ void copy_then_branch(const SecretBytes& kausf, std::uint8_t* out) {
 
 // The X25519 kernels take the clamped scalar as a raw byte array (no
 // Secret type): ct-flow knows them by name and seeds the scalar, and in
-// the combs also the digits recoded from it by a call.
+// the combs also the digits recoded from it by a call. The dispatcher
+// picks a path by the kind of point, never by the scalar.
+void mult_fraction(Point kind, const std::uint8_t k[32], ByteView u, Fe& num,
+                   Fe& den) {
+  const CombTable* table = kind == Point::kWire ? nullptr : lookup(kind, u);
+  if (table != nullptr && k[31] >= 64) {  // lint-expect(ct-flow)
+    comb_eval_fraction(*table, k, num, den);
+  } else {
+    ladder_fraction(k, u, num, den);
+  }
+}
+
 void ladder_fraction(const std::uint8_t k[32], ByteView u, Fe& num, Fe& den) {
   for (int t = 254; t >= 0; --t) {
     const std::uint64_t k_t = (k[t / 8] >> (t % 8)) & 1;
