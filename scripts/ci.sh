@@ -16,11 +16,6 @@
 #                             # only), JSON mode self-validated,
 #                             # audit-annotation counts and declassify
 #                             # call sites pinned
-#   scripts/ci.sh tidy        # clang-tidy over compile_commands.json
-#                             # with the repo .clang-tidy (concurrency-*
-#                             # included), gated on
-#                             # scripts/tidy_baseline.txt; skips cleanly
-#                             # when clang-tidy is not installed
 #   scripts/ci.sh asan        # AddressSanitizer over the unit suite
 #   scripts/ci.sh ubsan       # UBSanitizer over the unit suite
 #   scripts/ci.sh tsan        # ThreadSanitizer over the MonteCarlo
@@ -92,38 +87,6 @@ case "$stage" in
       exit 1
     fi
     echo "analyze: OK"
-    ;;
-  tidy)
-    if ! command -v clang-tidy >/dev/null 2>&1; then
-      echo "tidy: clang-tidy not installed, skipping"
-      exit 0
-    fi
-    build="${BUILD_DIR:-$repo/build-tidy}"
-    cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
-          -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
-    baseline="$repo/scripts/tidy_baseline.txt"
-    current="$build/tidy_findings.txt"
-    # Normalized fingerprints (file, check, message — no line numbers)
-    # so unrelated edits above a grandfathered finding do not churn the
-    # baseline; mirrors the shield_analyze baseline keys.
-    (cd "$repo" && find src tools/shield_analyze -name '*.cpp' -print0 \
-       | xargs -0 -n 8 -P "$jobs" clang-tidy -p "$build" --quiet 2>/dev/null \
-       || true) \
-      | sed -n 's|^'"$repo"'/\([^:]*\):[0-9]*:[0-9]*: warning: \(.*\) \(\[[a-z0-9.,-]*\]\)$|\1\t\3\t\2|p' \
-      | sort -u > "$current"
-    if [ "${2:-}" = "--write-baseline" ]; then
-      { grep '^#' "$baseline"; cat "$current"; } > "$baseline.tmp"
-      mv "$baseline.tmp" "$baseline"
-      echo "tidy: baseline rewritten ($(wc -l < "$current") findings)"
-      exit 0
-    fi
-    new="$(comm -13 <(grep -v '^#' "$baseline" | sort -u) "$current")"
-    if [ -n "$new" ]; then
-      echo "tidy: new clang-tidy findings (not in scripts/tidy_baseline.txt):" >&2
-      echo "$new" >&2
-      exit 1
-    fi
-    echo "tidy: OK ($(wc -l < "$current") findings, all baselined)"
     ;;
   asan|ubsan)
     san=address

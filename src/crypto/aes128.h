@@ -39,9 +39,6 @@ class Aes128Ctx {
   /// Encrypts exactly one 16-byte block.
   std::array<std::uint8_t, kBlockSize> encrypt_block(ByteView plaintext) const;
 
-  /// Decrypts exactly one 16-byte block.
-  std::array<std::uint8_t, kBlockSize> decrypt_block(ByteView ciphertext) const;
-
   /// Counter-mode keystream XOR: writes data.size() bytes to `out`
   /// (which may alias `data`). `icb` is the 16-byte initial counter
   /// block, incremented big-endian across the whole stream.

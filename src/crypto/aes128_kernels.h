@@ -21,11 +21,6 @@ bool aesni_compiled() noexcept;
 void aesni_encrypt_blocks(const std::uint8_t* rk, const std::uint8_t* in,
                           std::uint8_t* out, std::size_t nblocks);
 
-/// Decrypts one 16-byte block (computes the inverse schedule on the
-/// fly; decryption is off the hot path).
-void aesni_decrypt_block(const std::uint8_t* rk, const std::uint8_t* in,
-                         std::uint8_t* out);
-
 /// CTR keystream XOR over `len` bytes starting from counter block
 /// `icb[16]`, big-endian increment. `out` may alias `in`.
 void aesni_ctr_xor(const std::uint8_t* rk, const std::uint8_t* icb,

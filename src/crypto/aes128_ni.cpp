@@ -45,25 +45,6 @@ __attribute__((target("aes,sse4.1"))) void aesni_encrypt_blocks(
   }
 }
 
-__attribute__((target("aes,sse4.1"))) void aesni_decrypt_block(
-    const std::uint8_t* rk_bytes, const std::uint8_t* in, std::uint8_t* out) {
-  // Equivalent inverse cipher: IMC-transformed middle round keys in
-  // reverse order. Decryption is cold (tests and parity checks only),
-  // so the transform runs per call.
-  __m128i rk[11];
-  for (int i = 0; i < 11; ++i) {
-    rk[i] = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(rk_bytes + 16 * i));
-  }
-  __m128i block = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in));
-  block = _mm_xor_si128(block, rk[10]);
-  for (int round = 9; round >= 1; --round) {
-    block = _mm_aesdec_si128(block, _mm_aesimc_si128(rk[round]));
-  }
-  block = _mm_aesdeclast_si128(block, rk[0]);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), block);
-}
-
 __attribute__((target("aes,sse4.1"))) void aesni_ctr_xor(
     const std::uint8_t* rk_bytes, const std::uint8_t* icb,
     const std::uint8_t* in, std::uint8_t* out, std::size_t len) {
@@ -138,8 +119,6 @@ bool aesni_compiled() noexcept { return false; }
 
 void aesni_encrypt_blocks(const std::uint8_t*, const std::uint8_t*,
                           std::uint8_t*, std::size_t) {}
-void aesni_decrypt_block(const std::uint8_t*, const std::uint8_t*,
-                         std::uint8_t*) {}
 void aesni_ctr_xor(const std::uint8_t*, const std::uint8_t*,
                    const std::uint8_t*, std::uint8_t*, std::size_t) {}
 

@@ -38,11 +38,6 @@ X25519KeyPair EphemeralKeyPool::acquire() {
   return out;
 }
 
-std::size_t EphemeralKeyPool::available() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
 std::uint64_t EphemeralKeyPool::generated() const {
   std::lock_guard<std::mutex> lock(mu_);
   return generated_;

@@ -46,9 +46,6 @@ class EphemeralKeyPool {
   /// though in normal operation a pool belongs to one slice.
   X25519KeyPair acquire();
 
-  /// Key pairs currently ready (diagnostics / tests).
-  std::size_t available() const;
-
   /// Key pairs generated so far, including the initial fill.
   std::uint64_t generated() const;
 

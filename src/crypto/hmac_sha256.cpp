@@ -47,37 +47,23 @@ void hmac_core_into(ByteView key, ByteView part1, const ByteView* part2,
   secure_zero(pad.data(), pad.size());
 }
 
-Bytes hmac_core(ByteView key, ByteView part1, const ByteView* part2) {
+Bytes hmac_core(ByteView key, ByteView data) {
   Bytes mac(Sha256::kDigestSize);
-  hmac_core_into(key, part1, part2, mac.data());
+  hmac_core_into(key, data, nullptr, mac.data());
   return mac;
 }
 
 }  // namespace
 
 Bytes hmac_sha256(ByteView key, ByteView data) {
-  return hmac_core(key, data, nullptr);
-}
-
-Bytes hmac_sha256(ByteView key, ByteView part1, ByteView part2) {
-  return hmac_core(key, part1, &part2);
+  return hmac_core(key, data);
 }
 
 Bytes hmac_sha256_trunc(ByteView key, ByteView data, std::size_t n) {
   if (n > Sha256::kDigestSize) {
     throw std::invalid_argument("hmac_sha256_trunc: n > 32");
   }
-  Bytes mac = hmac_core(key, data, nullptr);
-  mac.resize(n);
-  return mac;
-}
-
-Bytes hmac_sha256_trunc(ByteView key, ByteView part1, ByteView part2,
-                        std::size_t n) {
-  if (n > Sha256::kDigestSize) {
-    throw std::invalid_argument("hmac_sha256_trunc: n > 32");
-  }
-  Bytes mac = hmac_core(key, part1, &part2);
+  Bytes mac = hmac_core(key, data);
   mac.resize(n);
   return mac;
 }

@@ -13,19 +13,13 @@ namespace shield5g::crypto {
 /// Computes HMAC-SHA-256(key, data). Any key length is accepted.
 Bytes hmac_sha256(ByteView key, ByteView data);
 
-/// Two-part message variant: HMAC-SHA-256(key, part1 || part2) without
-/// materializing the concatenation (the TLS record layer MACs
-/// seq || ciphertext per record).
-Bytes hmac_sha256(ByteView key, ByteView part1, ByteView part2);
-
 /// Truncated variant: the first `n` bytes of the MAC (n <= 32).
 Bytes hmac_sha256_trunc(ByteView key, ByteView data, std::size_t n);
-Bytes hmac_sha256_trunc(ByteView key, ByteView part1, ByteView part2,
-                        std::size_t n);
 
 /// Writes the first `n` bytes of HMAC-SHA-256(key, part1 || part2) to
-/// `out` without allocating (the TLS record layer writes the tag
-/// straight into the record tail of a pooled buffer).
+/// `out` without materializing the concatenation or allocating (the
+/// TLS record layer MACs seq || ciphertext per record and writes the
+/// tag straight into the record tail of a pooled buffer).
 void hmac_sha256_trunc_into(ByteView key, ByteView part1, ByteView part2,
                             std::uint8_t* out, std::size_t n);
 

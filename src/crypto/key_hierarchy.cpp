@@ -74,14 +74,4 @@ SecretBytes derive_algo_key(SecretView kamf, AlgoType type,
       {{Bytes{static_cast<std::uint8_t>(type)}}, {Bytes{algo_id}}}));
 }
 
-SecretBytes derive_kgnb(SecretView kamf, std::uint32_t uplink_nas_count,
-                        std::uint8_t access_type) {
-  if (kamf.size() != 32) throw std::invalid_argument("derive_kgnb: size");
-  Bytes count(4);
-  for (int i = 0; i < 4; ++i) {
-    count[3 - i] = static_cast<std::uint8_t>(uplink_nas_count >> (8 * i));
-  }
-  return SecretBytes(kdf(kamf, 0x6E, {{count}, {Bytes{access_type}}}));
-}
-
 }  // namespace shield5g::crypto

@@ -2,9 +2,10 @@
 //
 // Implements the derivations the paper's P-AKA modules execute inside
 // their enclaves (Table I): K_AUSF and AUTN inside eUDM, K_SEAF and
-// HXRES* inside eAUSF, K_AMF inside eAMF — plus the downstream NAS and
-// gNB keys needed to complete UE registration and the security-mode
-// procedure end to end.
+// HXRES* inside eAUSF, K_AMF inside eAMF — plus the downstream NAS
+// keys needed to complete UE registration and the security-mode
+// procedure end to end. Access-stratum security is not modelled, so no
+// K_gNB is derived.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,7 @@ std::string serving_network_name(const std::string& mcc,
                                  const std::string& mnc);
 
 // Taint discipline: hierarchy keys (CK/IK in, K_AUSF/K_SEAF/K_AMF and
-// the NAS/gNB keys out) are SecretView/SecretBytes. Protocol outputs
+// the NAS keys out) are SecretView/SecretBytes. Protocol outputs
 // that legitimately cross the wire — RES*, HXRES* — stay plain Bytes.
 
 /// K_AUSF = KDF(CK || IK, FC=0x6A, SNN, SQN xor AK)      [A.2]
@@ -58,9 +59,5 @@ enum class AlgoType : std::uint8_t {
 /// Algorithm key = KDF(K_AMF, FC=0x69, type, id), truncated to 128 bits.
 SecretBytes derive_algo_key(SecretView kamf, AlgoType type,
                             std::uint8_t algo_id);
-
-/// K_gNB = KDF(K_AMF, FC=0x6E, uplink NAS COUNT, access type)  [A.9]
-SecretBytes derive_kgnb(SecretView kamf, std::uint32_t uplink_nas_count,
-                        std::uint8_t access_type = 0x01);
 
 }  // namespace shield5g::crypto

@@ -31,9 +31,10 @@ namespace {
 using fe25519::Fe;
 using namespace fe25519ifma;
 
-// permute4, blend4, select4 and cswap_pairs are always inlined: at -O2
-// GCC left cswap_pairs out of line, passing the Fe4 through memory on
-// every ladder step.
+// permute4, blend4, select4, cswap_pairs and the comb's entry, madd
+// and zy helpers are always inlined: at -O2 GCC left cswap_pairs and
+// the three comb helpers out of line, passing Fe4 operands through
+// memory on every ladder step and comb window.
 
 // The same lane permutation on every limb (vpermq): lane l of the
 // result is lane (kImm >> 2l) & 3 of v.
@@ -121,7 +122,8 @@ void comb_select4(const std::uint64_t* row, std::int64_t digit,
 // negated to (y-x, y+x, 16p - 2dxy, 2) when `neg` is 1. valignq lines
 // limb l's three words (3l, 3l+1, 3l+2) up in lanes 0-2 of one vector;
 // lane 3 is then set to the constant 2 (limb 0) or 0.
-Fe4 comb_entry4(const __m256i v[4], std::uint64_t neg) {
+[[gnu::always_inline]] inline Fe4 comb_entry4(const __m256i v[4],
+                                              std::uint64_t neg) {
   const __m256i limbs[5] = {v[0], _mm256_alignr_epi64(v[1], v[0], 3),
                             _mm256_alignr_epi64(v[2], v[1], 2),
                             _mm256_alignr_epi64(v[3], v[2], 1), v[3]};
@@ -140,7 +142,8 @@ Fe4 comb_entry4(const __m256i v[4], std::uint64_t neg) {
 //   (X', Y', Z', T') = (e, g, f, e) * (f, h, g, h)
 // with e = a-b, f = 2Z-c, g = 2Z+c, h = a+b: the portable ext_madd's
 // formulas, so the same projective result.
-Fe4 comb_madd4(const Fe4& acc, const Fe4& entry) {
+[[gnu::always_inline]] inline Fe4 comb_madd4(const Fe4& acc,
+                                             const Fe4& entry) {
   const Fe4 p = permute4<0xb5>(acc);  // (Y, Y, T, Z)
   const Fe4 q = permute4<0x00>(acc);  // (X, X, X, X)
   const Fe4 left = blend4<0xc>(blend4<0x2>(add4(p, q), sub4(p, q)), p);
@@ -157,7 +160,7 @@ Fe4 comb_madd4(const Fe4& acc, const Fe4& entry) {
 // in lanes because fe4_to_lanes' outputs reach 2^54, outside fe_sub's
 // domain; carried because fe4_to_lanes keeps them within fe_mul's
 // 2^54 only for carried inputs (add4/sub4 outputs overshoot by 2^14).
-Fe4 comb_zy4(const Fe4& acc) {
+[[gnu::always_inline]] inline Fe4 comb_zy4(const Fe4& acc) {
   const Fe4 z = permute4<0xaa>(acc);  // (Z, Z, Z, Z)
   const Fe4 y = permute4<0x55>(acc);  // (Y, Y, Y, Y)
   Fe4 zy = blend4<0x2>(add4(z, y), sub4(z, y));

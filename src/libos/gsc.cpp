@@ -1,16 +1,8 @@
 #include "libos/gsc.h"
 
-#include "crypto/hmac_sha256.h"
 #include "crypto/sha256.h"
 
 namespace shield5g::libos {
-
-bool GscImage::verify(ByteView signer_key) const {
-  const Bytes expected =
-      crypto::hmac_sha256(signer_key, manifest.serialize());
-  const Bytes id = crypto::Sha256::digest(signer_key);
-  return ct_equal(expected, signature) && ct_equal(id, signer_id);
-}
 
 GscImage gsc_build(const std::string& app_name, const GscBuildOptions& opts,
                    ByteView signer_key) {
@@ -37,7 +29,6 @@ GscImage gsc_build(const std::string& app_name, const GscBuildOptions& opts,
   m.validate();
 
   image.signer_id = crypto::Sha256::digest(signer_key);
-  image.signature = crypto::hmac_sha256(signer_key, m.serialize());
   return image;
 }
 

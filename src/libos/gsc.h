@@ -3,9 +3,11 @@
 // `gsc build` transforms a regular container image into a graminized one:
 // it merges the Gramine runtime into the image, generates the manifest
 // (appending most of the root filesystem to the trusted-file list) and
-// `gsc sign-image` signs it with a user-provided key. The signer identity
-// (MRSIGNER analogue) and the manifest are folded into the enclave
-// measurement at load.
+// `gsc sign-image` signs it with a user-provided key. The model keeps
+// what the enclave consumes of that step: the signer identity (MRSIGNER
+// analogue), folded with the manifest into the enclave measurement at
+// load. Nothing in the modelled flow checks an image signature, so none
+// is computed.
 #pragma once
 
 #include <string>
@@ -19,10 +21,6 @@ struct GscImage {
   std::string name;
   Manifest manifest;
   Bytes signer_id;   // MRSIGNER analogue: SHA-256 of the signer key
-  Bytes signature;   // signature over the manifest by the signer key
-
-  /// Verifies the signature against a signer key.
-  bool verify(ByteView signer_key) const;
 };
 
 struct GscBuildOptions {
@@ -38,7 +36,8 @@ struct GscBuildOptions {
   std::uint32_t rootfs_seed = 0;
 };
 
-/// Builds and signs a graminized image for the named application.
+/// Builds a graminized image for the named application, signed by
+/// `signer_key` (recorded as its signer_id).
 GscImage gsc_build(const std::string& app_name, const GscBuildOptions& opts,
                    ByteView signer_key);
 

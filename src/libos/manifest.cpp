@@ -4,10 +4,6 @@
 
 namespace shield5g::libos {
 
-Bytes Manifest::serialize() const {
-  return serialize(file_set_digest(trusted_files));
-}
-
 Bytes Manifest::serialize(ByteView files_digest) const {
   Bytes out = to_bytes("manifest-v1\n" + entrypoint + "\n");
   const Bytes size = be_bytes(enclave_size, 8);

@@ -27,12 +27,10 @@ struct Manifest {
   std::vector<TrustedFile> trusted_files;       // sgx.trusted_files
 
   /// Canonical serialization folded into the enclave measurement (any
-  /// manifest change changes MRENCLAVE, as with real Gramine).
-  Bytes serialize() const;
-
-  /// The same bytes given `files_digest` = file_set_digest(trusted_files),
-  /// for a caller that needs the digest too: hashing a GSC file set
-  /// (~2,400 files) once instead of twice.
+  /// manifest change changes MRENCLAVE, as with real Gramine), given
+  /// `files_digest` = file_set_digest(trusted_files): the loader needs
+  /// the digest for the page contents too, so a GSC file set (~2,400
+  /// files) is hashed once.
   Bytes serialize(ByteView files_digest) const;
 
   /// Sanity checks mirroring Gramine's loader: the paper observed that

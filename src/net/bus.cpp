@@ -175,11 +175,6 @@ void Bus::detach(std::string_view name) {
   if (const auto id = lookup(name)) servers_[*id].server = nullptr;
 }
 
-Server* Bus::find(std::string_view name) noexcept {
-  const auto id = lookup(name);
-  return id ? servers_[*id].server : nullptr;
-}
-
 bool Bus::fastpath_eligible(std::string_view from, const Attachment& target,
                             const HttpRequest& req) const noexcept {
   if (!fastpath_ || target.domain == kIsolatedDomain) return false;

@@ -203,7 +203,6 @@ class Bus {
   /// Attaches a server; a TLS identity is generated for it.
   void attach(Server& server);
   void detach(std::string_view name);
-  Server* find(std::string_view name) noexcept;
 
   /// TLS session resumption: when enabled, every server attached from
   /// then on gets a TicketIssuer, handshakes switch to the resumable

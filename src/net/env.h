@@ -39,7 +39,6 @@ class ExecutionEnv {
   virtual void on_request(std::uint64_t /*request_index*/) {}
 
   virtual std::string kind() const = 0;
-  virtual bool is_sgx() const { return false; }
 };
 
 /// Plain host / container execution (the paper's non-SGX baselines;

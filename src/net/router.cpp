@@ -108,16 +108,4 @@ HttpResponse Router::route(const RequestView& req) const {
   return HttpResponse::error(404, detail);
 }
 
-HttpResponse Router::route(const HttpRequest& req) const {
-  RequestView view;
-  view.method = req.method;
-  view.path = req.path;
-  for (std::size_t i = 0; i < req.headers.size(); ++i) {
-    const Headers::View e = req.headers.entry(i);
-    view.headers.add(e.key, e.value);
-  }
-  view.body = req.body;
-  return route(view);
-}
-
 }  // namespace shield5g::net

@@ -58,9 +58,6 @@ class Router {
   /// Dispatches; 404 when no route matches, 405 when the path matches
   /// but the method does not.
   HttpResponse route(const RequestView& req) const;
-  /// Convenience overload for owning messages (tests, direct-chain
-  /// benches): builds an aliasing view and dispatches through it.
-  HttpResponse route(const HttpRequest& req) const;
 
  private:
   struct Route {

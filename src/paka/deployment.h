@@ -40,7 +40,6 @@ class SgxEnv final : public net::ExecutionEnv {
   void on_first_request() override;
   void on_request(std::uint64_t request_index) override;
   std::string kind() const override { return "sgx"; }
-  bool is_sgx() const override { return true; }
 
   /// Cold-path profile for the first request (Fig. 10b).
   static constexpr std::uint64_t kFirstRequestPages = 9'000;
@@ -132,7 +131,7 @@ class PakaService {
   /// under SGX; calibrated against Fig. 9a).
   virtual std::uint64_t request_alloc_pages() const = 0;
   /// Application image-layer size delta (differentiates Fig. 7 bars).
-  virtual std::uint64_t app_extra_bytes() const { return 0; }
+  virtual std::uint64_t app_extra_bytes() const = 0;
 
   sgx::Machine& machine_;
   net::Bus& bus_;

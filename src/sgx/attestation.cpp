@@ -13,38 +13,6 @@ Bytes quote_signing_input(ByteView measurement, ByteView report_data) {
 }
 }  // namespace
 
-Bytes Quote::serialize() const {
-  Bytes out;
-  auto append = [&out](ByteView part) {
-    const Bytes len = be_bytes(part.size(), 4);
-    out.insert(out.end(), len.begin(), len.end());
-    out.insert(out.end(), part.begin(), part.end());
-  };
-  append(measurement);
-  append(report_data);
-  append(signature);
-  return out;
-}
-
-std::optional<Quote> Quote::deserialize(ByteView data) {
-  Quote quote;
-  std::size_t pos = 0;
-  auto read = [&](Bytes& field) -> bool {
-    if (pos + 4 > data.size()) return false;
-    const std::uint64_t len = be_value(data.subspan(pos, 4));
-    pos += 4;
-    if (pos + len > data.size()) return false;
-    field = slice_bytes(data, pos, len);
-    pos += len;
-    return true;
-  };
-  if (!read(quote.measurement) || !read(quote.report_data) ||
-      !read(quote.signature) || pos != data.size()) {
-    return std::nullopt;
-  }
-  return quote;
-}
-
 Quote generate_quote(Enclave& enclave, ByteView report_data) {
   if (report_data.size() > 64) {
     throw std::invalid_argument("generate_quote: report data > 64 bytes");

@@ -8,9 +8,6 @@
 // admitting them into the AKA service chain.
 #pragma once
 
-#include <optional>
-#include <string>
-
 #include "common/bytes.h"
 #include "sgx/enclave.h"
 
@@ -20,9 +17,6 @@ struct Quote {
   Bytes measurement;  // MRENCLAVE of the quoted enclave
   Bytes report_data;  // 64 bytes chosen by the enclave (e.g. TLS key hash)
   Bytes signature;    // platform attestation signature
-
-  Bytes serialize() const;
-  static std::optional<Quote> deserialize(ByteView data);
 };
 
 /// EREPORT + quoting-enclave analogue: produces a signed quote.

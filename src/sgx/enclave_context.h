@@ -39,7 +39,6 @@ class EnclaveContext {
 
   bool enclave_backed() const noexcept { return enclave_ != nullptr; }
   const std::string& module() const noexcept { return module_; }
-  const Enclave* backing() const noexcept { return enclave_; }
 
  private:
   EnclaveContext(std::string module, const Enclave* enclave)

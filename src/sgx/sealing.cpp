@@ -24,39 +24,6 @@ SealKeys derive_seal_keys(Machine& machine, ByteView measurement) {
 
 }  // namespace
 
-Bytes SealedBlob::serialize() const {
-  Bytes out;
-  auto append = [&out](ByteView part) {
-    const Bytes len = be_bytes(part.size(), 4);
-    out.insert(out.end(), len.begin(), len.end());
-    out.insert(out.end(), part.begin(), part.end());
-  };
-  append(measurement);
-  append(iv);
-  append(ciphertext);
-  append(mac);
-  return out;
-}
-
-std::optional<SealedBlob> SealedBlob::deserialize(ByteView data) {
-  SealedBlob blob;
-  std::size_t pos = 0;
-  auto read = [&](Bytes& field) -> bool {
-    if (pos + 4 > data.size()) return false;
-    const std::uint64_t len = be_value(data.subspan(pos, 4));
-    pos += 4;
-    if (pos + len > data.size()) return false;
-    field = slice_bytes(data, pos, len);
-    pos += len;
-    return true;
-  };
-  if (!read(blob.measurement) || !read(blob.iv) || !read(blob.ciphertext) ||
-      !read(blob.mac) || pos != data.size()) {
-    return std::nullopt;
-  }
-  return blob;
-}
-
 SealedBlob seal(Enclave& enclave, ByteView plaintext, ByteView iv_entropy) {
   if (iv_entropy.size() != 16) {
     throw std::invalid_argument("seal: iv_entropy must be 16 bytes");

@@ -21,9 +21,6 @@ struct SealedBlob {
   Bytes iv;           // 16 bytes
   Bytes ciphertext;
   Bytes mac;          // 16 bytes of HMAC-SHA-256
-
-  Bytes serialize() const;
-  static std::optional<SealedBlob> deserialize(ByteView data);
 };
 
 /// Seals `plaintext` to the calling enclave's identity. `iv_entropy`

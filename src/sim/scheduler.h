@@ -2,9 +2,10 @@
 //
 // The registration flows themselves run as synchronous call chains (the
 // paper's P-AKA servers are single-threaded and its experiments register
-// one UE at a time), but the scheduler is used for time-driven activity:
-// gNBSIM pacing of mass registrations, periodic SQN refreshes, and idle
-// windows between experiment iterations.
+// one UE at a time). The scheduler drives the open-loop load engine
+// (load/generator.cpp): each UE's arrival and the end of each of its NAS
+// rounds is an event, drained with run(). run_until() serves the tests
+// that stop a drain at a deadline.
 //
 // Event ordering contract: events fire in (timestamp, FIFO) order — a
 // global sequence number breaks every same-instant tie in insertion

@@ -4,6 +4,7 @@
 #include <array>
 #include <initializer_list>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <string_view>
 
@@ -30,6 +31,12 @@ Slice::Slice(SliceConfig config)
       machine_(clock_, config_.seed ^ 0x5658ULL),
       bus_(clock_, config_.seed ^ 0xb05ULL),
       cred_rng_(config_.seed ^ 0xc4edULL) {
+  // A count-sized slice provisions ids [0, subscriber_count): from here
+  // on the population is the one list of provisioned ids.
+  if (config_.population.empty()) {
+    config_.population.resize(config_.subscriber_count);
+    std::iota(config_.population.begin(), config_.population.end(), 0u);
+  }
   // Resumption must be armed before any attach() below so every server
   // gets a ticket issuer; the pool is seeded from the slice seed so a
   // sweep's digests stay reproducible at any worker count.
@@ -102,8 +109,7 @@ Slice::Slice(SliceConfig config)
     eamf_ = std::make_unique<paka::EamfAkaService>(machine_, bus_, paka);
   }
 
-  const net::ServiceQueue::Config vnf_queue{kVnfWorkers,
-                                            config_.vnf_queue_capacity};
+  const net::ServiceQueue::Config vnf_queue{kVnfWorkers, kVnfQueueCapacity};
   for (nf::Vnf* vnf : std::initializer_list<nf::Vnf*>{
            udr_.get(), nrf_.get(), smf_.get(), udm_.get(), ausf_.get(),
            amf_.get()}) {
@@ -145,13 +151,14 @@ struct Credentials {
   std::uint64_t sqn = 0;
 };
 
-/// The one subscriber derivation, shared by both provisioning modes.
-/// The MSIN is %010u of 100000000u + id: a u32 sum, so it wraps exactly
-/// like the printf it replaces, and a u32 never needs an 11th digit.
-/// K‖OPc are the next 32 bytes of `rng`; the network SQN starts at
-/// 0x100 + 0x40 * id.
-void derive(const nf::Plmn& plmn, std::uint32_t id, Rng& rng,
-            Credentials& out) {
+/// The one subscriber derivation. The MSIN is %010u of 100000000u + id:
+/// a u32 sum, so it wraps exactly like the printf it replaces, and a u32
+/// never needs an 11th digit. K‖OPc are the first 32 bytes of the id's
+/// own stream, so the credentials depend only on (seed, id), never on
+/// provisioning order: every shard layout derives the same subscriber.
+/// The network SQN starts at 0x100 + 0x40 * id.
+void derive(const SliceConfig& config, std::uint32_t id, Credentials& out) {
+  const nf::Plmn& plmn = config.plmn;
   const std::size_t prefix = plmn.mcc.size() + plmn.mnc.size();
   if (prefix + 10 > out.text.size()) {
     throw std::invalid_argument("Slice: PLMN id too long for a SUPI");
@@ -163,77 +170,43 @@ void derive(const nf::Plmn& plmn, std::uint32_t id, Rng& rng,
     msin[d] = static_cast<char>('0' + digits % 10);
   }
   out.length = prefix + 10;
+  Rng rng(config.seed ^ 0xc4edULL ^
+          (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(id) + 1)));
   rng.fill(out.k_opc);
   out.sqn = 0x100 + 0x40ULL * id;
 }
 
-/// Population mode's per-id stream: the credentials depend only on
-/// (seed, gid), never on provisioning order — every shard layout
-/// derives the same subscriber.
-Rng population_rng(std::uint64_t seed, std::uint32_t gid) {
-  return Rng(seed ^ 0xc4edULL ^
-             (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(gid) + 1)));
-}
-
-nf::SubscriberRecord record_of(const Credentials& creds) {
-  nf::SubscriberRecord rec;
-  rec.supi.value = std::string(creds.supi());
-  rec.k = SecretBytes(creds.k());
-  rec.opc = SecretBytes(creds.opc());
-  rec.sqn = creds.sqn;
-  return rec;
-}
-
 }  // namespace
 
-nf::SubscriberRecord Slice::derived_record(std::uint32_t gid) const {
-  Credentials creds;
-  Rng rng = population_rng(config_.seed, gid);
-  derive(config_.plmn, gid, rng, creds);
-  return record_of(creds);
-}
-
 void Slice::provision_subscribers() {
-  subscribers_.clear();
+  // The columnar UDR store is the only resident copy: no per-subscriber
+  // record is kept, even at 1M subscribers. Each row is derived into a
+  // ring slot kLookAhead rows before its insert, and its index slot
+  // prefetched then, so consecutive rows' slot misses overlap. Rows
+  // still go in population order: row numbers and probe order are
+  // those of a plain loop.
+  struct Ahead {
+    Credentials creds;
+    nf::HashedSupi key{std::string_view()};
+  };
   const std::vector<std::uint32_t>& gids = config_.population;
-  if (!gids.empty()) {
-    // Population mode: the columnar UDR store is the only resident copy
-    // — no fat SubscriberRecord vector at 1M subscribers. Each row is
-    // derived into a ring slot kLookAhead rows before its insert, and
-    // its index slot prefetched then, so consecutive rows' slot misses
-    // overlap. Rows still go in population order: row numbers and
-    // probe order are those of a plain loop.
-    struct Ahead {
-      Credentials creds;
-      nf::HashedSupi key{std::string_view()};
-    };
-    nf::SubscriberStore& store = udr_->store();
-    store.reserve(gids.size());
-    std::array<Ahead, kLookAhead> ring;
-    const auto stage = [&](std::size_t i) {
-      Ahead& ahead = ring[i % kLookAhead];
-      Rng rng = population_rng(config_.seed, gids[i]);
-      derive(config_.plmn, gids[i], rng, ahead.creds);
-      ahead.key = nf::HashedSupi(ahead.creds.supi());
-      store.prefetch(ahead.key);
-    };
-    for (std::size_t i = 0; i < std::min(kLookAhead, gids.size()); ++i) {
-      stage(i);
-    }
-    for (std::size_t i = 0; i < gids.size(); ++i) {
-      const Ahead& row = ring[i % kLookAhead];
-      store.provision(row.key, row.creds.k(), row.creds.opc(),
-                      row.creds.sqn, nf::kDefaultAmfField);
-      if (i + kLookAhead < gids.size()) stage(i + kLookAhead);
-    }
-    return;
+  nf::SubscriberStore& store = udr_->store();
+  store.reserve(gids.size());
+  std::array<Ahead, kLookAhead> ring;
+  const auto stage = [&](std::size_t i) {
+    Ahead& ahead = ring[i % kLookAhead];
+    derive(config_, gids[i], ahead.creds);
+    ahead.key = nf::HashedSupi(ahead.creds.supi());
+    store.prefetch(ahead.key);
+  };
+  for (std::size_t i = 0; i < std::min(kLookAhead, gids.size()); ++i) {
+    stage(i);
   }
-  subscribers_.reserve(config_.subscriber_count);
-  Credentials creds;
-  for (std::uint32_t i = 0; i < config_.subscriber_count; ++i) {
-    derive(config_.plmn, i, cred_rng_, creds);
-    subscribers_.push_back(record_of(creds));
-    udr_->provision(subscribers_.back());
+  for (std::size_t i = 0; i < gids.size(); ++i) {
+    const Ahead& row = ring[i % kLookAhead];
+    store.provision(row.key, row.creds.k(), row.creds.opc(), row.creds.sqn,
+                    nf::kDefaultAmfField);
+    if (i + kLookAhead < gids.size()) stage(i + kLookAhead);
   }
 }
 
@@ -270,10 +243,10 @@ bool Slice::provision_sealed_keys() {
   // its measurement; a plaintext K never appears in any image or on the
   // provisioning path.
   std::map<nf::Supi, SecretBytes> keys;
-  for (const auto& rec : subscribers_) keys[rec.supi] = rec.k;
+  Credentials creds;
   for (const std::uint32_t gid : config_.population) {
-    nf::SubscriberRecord rec = derived_record(gid);
-    keys[rec.supi] = std::move(rec.k);
+    derive(config_, gid, creds);
+    keys[nf::Supi{std::string(creds.supi())}] = SecretBytes(creds.k());
   }
   const Bytes table = paka::EudmAkaService::serialize_key_table(keys);
   for (const auto& replica : eudm_replicas_) {
@@ -320,13 +293,12 @@ SliceCreation Slice::create() {
         throw std::runtime_error("Slice: P-AKA admission failed");
       }
     } else {
-      for (const auto& replica : eudm_replicas_) {
-        for (const auto& rec : subscribers_) {
-          replica->provision_key(rec.supi, rec.k);
-        }
-        for (const std::uint32_t gid : config_.population) {
-          nf::SubscriberRecord rec = derived_record(gid);
-          replica->provision_key(rec.supi, std::move(rec.k));
+      Credentials creds;
+      for (const std::uint32_t gid : config_.population) {
+        derive(config_, gid, creds);
+        const nf::Supi supi{std::string(creds.supi())};
+        for (const auto& replica : eudm_replicas_) {
+          replica->provision_key(supi, SecretBytes(creds.k()));
         }
       }
       creation.attestation_ok = false;
@@ -343,28 +315,21 @@ SliceCreation Slice::create() {
 }
 
 ran::UsimConfig Slice::subscriber(std::uint32_t i) const {
-  if (!config_.population.empty()) {
-    // Population mode re-derives on demand — O(1) memory per call, and
-    // identical to what provision_subscribers() put in the UDR.
-    if (i >= config_.population.size()) {
-      throw std::out_of_range("Slice: subscriber index");
-    }
-    return usim_for(derived_record(config_.population[i]));
-  }
-  if (i >= subscribers_.size()) {
+  // Re-derived on demand — O(1) memory per call, and identical to what
+  // provision_subscribers() put in the UDR.
+  if (i >= config_.population.size()) {
     throw std::out_of_range("Slice: subscriber index");
   }
-  return usim_for(subscribers_[i]);
-}
-
-ran::UsimConfig Slice::usim_for(const nf::SubscriberRecord& rec) const {
+  Credentials creds;
+  derive(config_, config_.population[i], creds);
   ran::UsimConfig usim;
   usim.plmn = config_.plmn;
-  usim.msin = rec.supi.value.substr(config_.plmn.id().size());
-  usim.k = rec.k;
-  usim.opc = rec.opc;
-  // The USIM's SQNms trails the network's by one step at provisioning.
-  usim.sqn_ms = rec.sqn > 0 ? rec.sqn - 1 : 0;
+  usim.msin = std::string(creds.supi().substr(config_.plmn.id().size()));
+  usim.k = SecretBytes(creds.k());
+  usim.opc = SecretBytes(creds.opc());
+  // The USIM's SQNms trails the network's (never below 0x100) by one
+  // step at provisioning.
+  usim.sqn_ms = creds.sqn - 1;
   usim.hn_public = Bytes(hn_key_.public_key.begin(),
                          hn_key_.public_key.end());
   return usim;

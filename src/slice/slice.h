@@ -54,22 +54,16 @@ struct SliceConfig {
   /// SUCI concealment. Deterministically seeded from `seed`, so sweeps
   /// stay reproducible; off by default for the same oracle reason.
   bool eph_pool = false;
-  /// Bounded FIFO depth in front of each core VNF's request workers
-  /// (UDR/UDM/AUSF/AMF/SMF/NRF, Slice::kVnfWorkers each). P-AKA module
-  /// concurrency is configured separately via `paka` (TCS-derived under
-  /// SGX).
-  std::uint32_t vnf_queue_capacity = 256;
   std::uint64_t seed = 0x51C3ULL;
-  /// Serving-plane population mode (load/serving.h): when non-empty,
-  /// the slice provisions exactly these *global* subscriber ids instead
-  /// of ids [0, subscriber_count). Credentials derive from a per-id Rng
-  /// (seed ^ 0xc4ed, mixed with the id), so a subscriber's K/OPc/SQN
-  /// depend only on (seed domain, id) — never on which shard's slice
-  /// provisions it or in what order. No fat per-subscriber vector is
-  /// kept: `subscriber(i)` re-derives on demand and the UDR's columnar
-  /// store is the only resident copy. Local index i maps to global id
-  /// population[i]. Empty (the default) keeps the sequential-draw path
-  /// bit-identical to every prior PR.
+  /// The *global* subscriber ids the slice provisions; empty (the
+  /// default) means ids [0, subscriber_count). Local index i maps to
+  /// global id population[i] (the serving plane, load/serving.h, hands
+  /// each shard's slice its own ids). Credentials derive from a per-id
+  /// Rng (seed ^ 0xc4ed, mixed with the id), so a subscriber's
+  /// K/OPc/SQN depend only on (seed domain, id) — never on which
+  /// shard's slice provisions it or in what order. No per-subscriber
+  /// record is kept: `subscriber(i)` re-derives on demand and the UDR's
+  /// columnar store is the only resident copy.
   std::vector<std::uint32_t> population;
 };
 
@@ -87,6 +81,10 @@ class Slice {
  public:
   /// Request workers per core VNF.
   static constexpr std::uint32_t kVnfWorkers = 4;
+  /// Bounded FIFO depth in front of each core VNF's request workers
+  /// (UDR/UDM/AUSF/AMF/SMF/NRF). P-AKA module concurrency is configured
+  /// separately via SliceConfig::paka (TCS-derived under SGX).
+  static constexpr std::uint32_t kVnfQueueCapacity = 256;
 
   explicit Slice(SliceConfig config);
   ~Slice();
@@ -132,11 +130,9 @@ class Slice {
   ran::UsimConfig subscriber(std::uint32_t i) const;
 
   /// Provisioned subscribers addressable by subscriber(i): the
-  /// population size in population mode, subscriber_count otherwise.
+  /// population size (subscriber_count when the population is empty).
   std::uint32_t subscriber_capacity() const noexcept {
-    return config_.population.empty()
-               ? config_.subscriber_count
-               : static_cast<std::uint32_t>(config_.population.size());
+    return static_cast<std::uint32_t>(config_.population.size());
   }
 
   /// Convenience: full registration (+ PDU session) of subscriber `i`.
@@ -147,15 +143,12 @@ class Slice {
   void provision_subscribers();
   bool attest_modules();
   bool provision_sealed_keys();
-  /// Population-mode credential derivation for one global id.
-  nf::SubscriberRecord derived_record(std::uint32_t gid) const;
-  ran::UsimConfig usim_for(const nf::SubscriberRecord& rec) const;
 
   SliceConfig config_;
   sim::VirtualClock clock_;
   sgx::Machine machine_;
   net::Bus bus_;
-  Rng cred_rng_;
+  Rng cred_rng_;  // the HN key pair and the seal IVs
   crypto::X25519KeyPair hn_key_;
   std::unique_ptr<crypto::EphemeralKeyPool> eph_pool_;
 
@@ -172,7 +165,6 @@ class Slice {
   std::unique_ptr<ran::Gnb> gnb_;
   std::unique_ptr<ran::GnbSim> gnbsim_;
 
-  std::vector<nf::SubscriberRecord> subscribers_;
   bool created_ = false;
 };
 

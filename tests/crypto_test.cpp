@@ -32,12 +32,6 @@ TEST(Aes128, Fips197Vector) {
   EXPECT_EQ(hex_encode(ct), "69c4e0d86a7b0430d8cdb78070b4c55a");
 }
 
-TEST(Aes128, Fips197Decrypt) {
-  const Aes128 aes(h2b("000102030405060708090a0b0c0d0e0f"));
-  const auto pt = aes.decrypt_block(h2b("69c4e0d86a7b0430d8cdb78070b4c55a"));
-  EXPECT_EQ(hex_encode(pt), "00112233445566778899aabbccddeeff");
-}
-
 TEST(Aes128, RejectsBadKeySize) {
   EXPECT_THROW(Aes128(h2b("0011")), std::invalid_argument);
 }
@@ -45,24 +39,7 @@ TEST(Aes128, RejectsBadKeySize) {
 TEST(Aes128, RejectsBadBlockSize) {
   const Aes128 aes(h2b("000102030405060708090a0b0c0d0e0f"));
   EXPECT_THROW(aes.encrypt_block(h2b("0011")), std::invalid_argument);
-  EXPECT_THROW(aes.decrypt_block(h2b("0011")), std::invalid_argument);
 }
-
-class AesRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(AesRoundTrip, DecryptInvertsEncrypt) {
-  Rng rng(GetParam());
-  const Bytes key = rng.bytes(16);
-  const Bytes pt = rng.bytes(16);
-  const Aes128 aes(key);
-  const auto ct = aes.encrypt_block(pt);
-  const auto back = aes.decrypt_block(ct);
-  EXPECT_EQ(Bytes(back.begin(), back.end()), pt);
-  EXPECT_NE(Bytes(ct.begin(), ct.end()), pt);
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomKeys, AesRoundTrip,
-                         ::testing::Range<std::uint64_t>(1, 17));
 
 TEST(Aes128Ctr, EncryptDecryptRoundTrip) {
   Rng rng(7);
@@ -343,7 +320,6 @@ TEST(KeyHierarchy, SizesAndDistinctness) {
   const SecretBytes kamf = derive_kamf(kseaf, "001010000000001", Bytes{0, 0});
   const SecretBytes knas_int = derive_algo_key(kamf, AlgoType::kNasInt, 2);
   const SecretBytes knas_enc = derive_algo_key(kamf, AlgoType::kNasEnc, 2);
-  const SecretBytes kgnb = derive_kgnb(kamf, 0);
 
   EXPECT_EQ(kausf.size(), 32u);
   EXPECT_EQ(res_star.size(), 16u);
@@ -352,7 +328,6 @@ TEST(KeyHierarchy, SizesAndDistinctness) {
   EXPECT_EQ(kamf.size(), 32u);
   EXPECT_EQ(knas_int.size(), 16u);
   EXPECT_EQ(knas_enc.size(), 16u);
-  EXPECT_EQ(kgnb.size(), 32u);
   EXPECT_NE(knas_int, knas_enc);
   EXPECT_NE(kausf, kseaf);
 }

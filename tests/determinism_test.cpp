@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -293,11 +294,12 @@ TEST(Determinism, PoolAloneReplaysBitIdentically) {
 // ---- Co-located fast path (DESIGN.md §18) ------------------------------
 
 // The monolithic cases of `shard_scaling --smoke` (three SBI policies x
-// two rates x two seeds, 40 UEs), none of which sheds, plus one
-// resume+pool case whose 4-deep VNF queues make the AMF shed UEs at
-// NGAP ingress. (SBI-level sheds never occur in these runs: the AMF's
-// own queue bounds what reaches the servers behind it, so the
-// co-located 503 is FastpathParity.ShedRequestIsByteIdentical's job.)
+// two rates x two seeds, 40 UEs), none of which sheds, plus a copy of
+// one resume+pool case that the test runs on 4-deep VNF queues, which
+// make the AMF shed UEs at NGAP ingress. (SBI-level sheds never occur
+// in these runs: the AMF's own queue bounds what reaches the servers
+// behind it, so the co-located 503 is
+// FastpathParity.ShedRequestIsByteIdentical's job.)
 std::vector<load::SweepCase> monolithic_smoke_cases() {
   struct Policy {
     const char* tag;
@@ -333,7 +335,6 @@ std::vector<load::SweepCase> monolithic_smoke_cases() {
   }
   load::SweepCase shedding = cases[6];  // resume+pool rate=1600 seed=0
   shedding.label += " queue=4";
-  shedding.slice.vnf_queue_capacity = 4;
   cases.push_back(std::move(shedding));
   return cases;
 }
@@ -344,9 +345,19 @@ struct FastpathRun {
   std::uint64_t hits = 0;
 };
 
-FastpathRun run_with_fastpath(const load::SweepCase& c, bool fastpath) {
+FastpathRun run_with_fastpath(const load::SweepCase& c,
+                              std::uint32_t queue_capacity, bool fastpath) {
   slice::Slice slice(c.slice);
   slice.bus().set_fastpath(fastpath);
+  // The six core VNF queues as Slice configures them, but
+  // `queue_capacity` deep; nothing is admitted before create().
+  const net::ServiceQueue::Config queue{slice::Slice::kVnfWorkers,
+                                        queue_capacity};
+  for (nf::Vnf* vnf : std::initializer_list<nf::Vnf*>{
+           &slice.udr(), &slice.nrf(), &slice.smf(), &slice.udm(),
+           &slice.ausf(), &slice.amf()}) {
+    vnf->server().queue().configure(queue);
+  }
   slice.create();
   FastpathRun out;
   load::LoadGenerator generator;
@@ -364,8 +375,11 @@ TEST(Determinism, FastPathOnAndOffReplayBitIdentically) {
   const std::vector<load::SweepCase> cases = monolithic_smoke_cases();
   for (const load::SweepCase& c : cases) {
     SCOPED_TRACE(c.label);
-    const FastpathRun on = run_with_fastpath(c, true);
-    const FastpathRun off = run_with_fastpath(c, false);
+    const bool shedding = &c == &cases.back();
+    const std::uint32_t depth =
+        shedding ? 4 : slice::Slice::kVnfQueueCapacity;
+    const FastpathRun on = run_with_fastpath(c, depth, true);
+    const FastpathRun off = run_with_fastpath(c, depth, false);
     expect_identical(on.report, off.report);
     ASSERT_EQ(on.queues.size(), off.queues.size());
     for (std::size_t q = 0; q < on.queues.size(); ++q) {
@@ -381,7 +395,7 @@ TEST(Determinism, FastPathOnAndOffReplayBitIdentically) {
     EXPECT_GT(on.hits, 0u);
     EXPECT_EQ(off.hits, 0u);
     EXPECT_GT(on.report.registered, 0u);
-    if (&c == &cases.back()) {
+    if (shedding) {
       EXPECT_GT(on.report.failed_shed, 0u);
     }
   }

@@ -64,9 +64,6 @@ TEST(KernelParity, Aes128Fips197BothBackends) {
     EXPECT_EQ(hex_encode(aes.encrypt_block(
                   h2b("00112233445566778899aabbccddeeff"))),
               "69c4e0d86a7b0430d8cdb78070b4c55a");
-    EXPECT_EQ(hex_encode(aes.decrypt_block(
-                  h2b("69c4e0d86a7b0430d8cdb78070b4c55a"))),
-              "00112233445566778899aabbccddeeff");
   }
 }
 
@@ -82,10 +79,6 @@ TEST(KernelParity, Aes128BlockRandomInputs) {
       return Aes128Ctx(key).encrypt_block(pt);
     });
     ASSERT_EQ(hex_encode(scalar_ct), hex_encode(accel_ct)) << "block " << i;
-    const auto accel_pt = with_backend(CryptoBackend::kAccelerated, [&] {
-      return Aes128Ctx(key).decrypt_block(scalar_ct);
-    });
-    ASSERT_EQ(Bytes(accel_pt.begin(), accel_pt.end()), pt);
   }
 }
 
@@ -222,9 +215,11 @@ TEST(KernelParity, HmacSha256TwoPartMatchesConcat) {
     for (const auto backend :
          {CryptoBackend::kScalar, CryptoBackend::kAccelerated}) {
       ForcedBackend guard(backend);
-      ASSERT_EQ(hex_encode(hmac_sha256(key, p1, p2)),
-                hex_encode(hmac_sha256(key, joined)));
-      ASSERT_EQ(hex_encode(hmac_sha256_trunc(key, p1, p2, 16)),
+      Bytes full(32), trunc(16);
+      hmac_sha256_trunc_into(key, p1, p2, full.data(), full.size());
+      hmac_sha256_trunc_into(key, p1, p2, trunc.data(), trunc.size());
+      ASSERT_EQ(hex_encode(full), hex_encode(hmac_sha256(key, joined)));
+      ASSERT_EQ(hex_encode(trunc),
                 hex_encode(hmac_sha256_trunc(key, joined, 16)));
     }
   }

@@ -97,10 +97,10 @@ TEST(RouterTest, ExactAndParameterisedRoutes) {
   HttpRequest req;
   req.method = Method::kGet;
   req.path = "/health";
-  EXPECT_EQ(router.route(req).status, 200);
+  EXPECT_EQ(router.route(request_view_of(req)).status, 200);
 
   req.path = "/subscribers/001010000000001/data";
-  const HttpResponse resp = router.route(req);
+  const HttpResponse resp = router.route(request_view_of(req));
   EXPECT_EQ(resp.status, 200);
   EXPECT_NE(resp.body.find("001010000000001"), std::string::npos);
 }
@@ -114,10 +114,10 @@ TEST(RouterTest, NotFoundAndMethodNotAllowed) {
   HttpRequest req;
   req.method = Method::kGet;
   req.path = "/missing";
-  EXPECT_EQ(router.route(req).status, 404);
+  EXPECT_EQ(router.route(request_view_of(req)).status, 404);
   req.path = "/only-get";
   req.method = Method::kPost;
-  EXPECT_EQ(router.route(req).status, 405);
+  EXPECT_EQ(router.route(request_view_of(req)).status, 405);
 }
 
 TEST(RouterTest, SegmentCountMustMatch) {
@@ -129,11 +129,11 @@ TEST(RouterTest, SegmentCountMustMatch) {
   HttpRequest req;
   req.method = Method::kGet;
   req.path = "/a";
-  EXPECT_EQ(router.route(req).status, 404);
+  EXPECT_EQ(router.route(request_view_of(req)).status, 404);
   req.path = "/a/b/c";
-  EXPECT_EQ(router.route(req).status, 404);
+  EXPECT_EQ(router.route(request_view_of(req)).status, 404);
   req.path = "/a/b";
-  EXPECT_EQ(router.route(req).status, 200);
+  EXPECT_EQ(router.route(request_view_of(req)).status, 200);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Robustness sweeps: seeded-random malformed input against every codec
-// and parser boundary (NAS, HTTP, TLS records, JSON, SUCI, sealed blobs,
-// quotes), plus property sweeps that must hold for arbitrary inputs.
+// and parser boundary (NAS, HTTP, TLS records, JSON, SUCI), plus
+// property sweeps that must hold for arbitrary inputs.
 // None of these may crash, hang or throw past the documented surface.
 #include <gtest/gtest.h>
 
@@ -10,8 +10,6 @@
 #include "net/http.h"
 #include "net/tls.h"
 #include "nf/nas.h"
-#include "sgx/attestation.h"
-#include "sgx/sealing.h"
 
 namespace shield5g {
 namespace {
@@ -88,19 +86,6 @@ TEST_P(FuzzSweep, SuciFromStringNeverCrashes) {
     (void)crypto::Suci::from_string("suci-0-001-01-0000-1-1-" +
                                     to_string(ByteView(random_garbage())));
   }
-}
-
-TEST_P(FuzzSweep, SealedBlobAndQuoteDeserializers) {
-  for (int i = 0; i < 50; ++i) {
-    const Bytes data = random_garbage();
-    (void)sgx::SealedBlob::deserialize(data);
-    (void)sgx::Quote::deserialize(data);
-  }
-  // Length-prefix bombs: huge declared lengths must be rejected, not
-  // allocated.
-  Bytes bomb = {0xff, 0xff, 0xff, 0xff};
-  EXPECT_FALSE(sgx::SealedBlob::deserialize(bomb).has_value());
-  EXPECT_FALSE(sgx::Quote::deserialize(bomb).has_value());
 }
 
 TEST_P(FuzzSweep, NasRoundTripProperty) {

@@ -136,7 +136,7 @@ TEST(Scheduler, AfterIsRelative) {
   EXPECT_EQ(fired_at, 1'250u);
 }
 
-// ---- run_until edge cases (the concurrent engine leans on these) -------
+// ---- run_until edge cases ----------------------------------------------
 
 TEST(Scheduler, RunUntilFifoAmongEventsAtTheDeadline) {
   // Events AT the deadline run, in submission order.

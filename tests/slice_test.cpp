@@ -88,6 +88,44 @@ TEST(SliceTest, SubscriberAccessors) {
   EXPECT_NE(s.subscriber(0).k, s.subscriber(1).k);
 }
 
+TEST(SliceTest, CountAndPopulationSlicesProvisionTheSameSubscribers) {
+  // subscriber_count = N provisions ids 0..N-1 through the per-id
+  // derivation, so it is the same slice as population = 0..N-1: the
+  // same SUPI, K, OPc and SQN on the USIM and in the UDR, row for row.
+  constexpr std::uint32_t kN = 5;
+  SliceConfig by_count;
+  by_count.mode = IsolationMode::kMonolithic;
+  by_count.seed = 0xC0417ULL;
+  by_count.subscriber_count = kN;
+  SliceConfig by_ids = by_count;
+  by_ids.population.resize(kN);
+  std::iota(by_ids.population.begin(), by_ids.population.end(), 0u);
+  Slice a(by_count);
+  Slice b(by_ids);
+  a.create();
+  b.create();
+  ASSERT_EQ(a.subscriber_capacity(), kN);
+  ASSERT_EQ(b.subscriber_capacity(), kN);
+  const nf::SubscriberStore& sa = a.udr().store();
+  const nf::SubscriberStore& sb = b.udr().store();
+  ASSERT_EQ(sa.size(), kN);
+  ASSERT_EQ(sb.size(), kN);
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    SCOPED_TRACE(i);
+    const ran::UsimConfig ua = a.subscriber(i);
+    const ran::UsimConfig ub = b.subscriber(i);
+    EXPECT_EQ(ua.msin, ub.msin);
+    EXPECT_TRUE(SecretView(ua.k) == SecretView(ub.k));
+    EXPECT_TRUE(SecretView(ua.opc) == SecretView(ub.opc));
+    EXPECT_EQ(ua.sqn_ms, ub.sqn_ms);
+    EXPECT_EQ(sa.supi(i), sb.supi(i));
+    EXPECT_EQ(sa.supi(i), ua.plmn.id() + ua.msin);
+    EXPECT_TRUE(SecretView(sa.k(i)) == SecretView(sb.k(i)));
+    EXPECT_TRUE(SecretView(sa.opc(i)) == SecretView(sb.opc(i)));
+    EXPECT_EQ(sa.sqn(i), sb.sqn(i));
+  }
+}
+
 TEST(SliceTest, PakaOptionsPropagate) {
   SliceConfig cfg;
   cfg.mode = IsolationMode::kSgx;
